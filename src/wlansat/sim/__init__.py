@@ -70,6 +70,9 @@ class SimConfig:
     replications: int = 10
 
     def __post_init__(self) -> None:
+        for name in ("duration", "warmup"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.warmup >= 0:
             raise InvalidParameterError(f"warmup must be >= 0, got {self.warmup}")
         if not self.duration > self.warmup:

@@ -232,3 +232,8 @@ def test_bad_usage_exits_one():
 def test_bad_sweep_values_exit_one(capsys):
     code, _, err = run(capsys, "sweep", "i", "--values", "4,x")
     assert code == 1 and "values" in err
+
+
+def test_non_finite_duration_exits_one_naming_field(capsys):
+    code, _, err = run(capsys, "simulate", "iii", "--duration", "inf")
+    assert code == 1 and "duration" in err

@@ -93,6 +93,10 @@ ORACLE_CASES = [
      [0b00011, 0b00111, 0b11110, 0b01100, 0b10100], 16, 3, 30, 30),
     ([0], [0b1], 32, 5, 50, 50),
     ([0, 1], [0b01, 0b10], 4, 0, 25, 25),
+    # nodes not grouped by WLAN: same-slot redraws and starters must follow node index
+    ([2, 0, 1, 0, 2, 1, 1], [0b011, 0b111, 0b110], 4, 3, 12, 9),
+    ([3, 1, 0, 3, 2, 3, 1, 3, 0, 3], [0b0011, 0b1111, 0b0110, 0b1010], 8, 2, 10, 10),
+    ([1, 0, 2, 1, 0, 2, 1, 0], [0b111, 0b111, 0b111], 2, 0, 7, 7),
 ]
 
 
@@ -285,6 +289,9 @@ def test_config_validation():
         w.SimConfig(single(), duration=1.0, warmup=2.0)
     with pytest.raises(InvalidParameterError):
         w.SimConfig(single(), replications=0)
+    for field, value in (("duration", float("inf")), ("warmup", float("inf")), ("warmup", float("nan"))):
+        with pytest.raises(InvalidParameterError, match=field):
+            w.SimConfig(single(), **{field: value})
     with pytest.raises(InvalidParameterError):
         w.simulate(w.SimConfig(single()), backend="fortran")
 
