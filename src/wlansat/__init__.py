@@ -13,7 +13,7 @@ The package combines three layers:
 The ``wlansat`` command-line tool exposes all of it; see the README.
 """
 
-from .bianchi import BianchiPoint, expected_backoff, slot_probabilities, solve_fixed_point, solve_with_slots
+from .bianchi import BianchiPoint, expected_backoff, slot_probabilities, solve_fixed_point
 from .ctmc import (
     FeasibleStateSpace,
     StationaryDistribution,
@@ -46,7 +46,7 @@ from .scenario import (
     with_cw_min,
     with_n_nodes,
 )
-from .sim import ProbeRecord, SimConfig, SimulationResult, gamma_probe, kernel_backend, simulate
+from .sim import ProbeRecord, SimConfig, SimulationResult, kernel_backend, simulate
 from .throughput import (
     Contribution,
     GammaRecord,
@@ -89,7 +89,6 @@ __all__ = [
     "expected_backoff",
     "format_state",
     "gamma_factor",
-    "gamma_probe",
     "kernel_backend",
     "lambda_of",
     "load_scenario",
@@ -99,7 +98,6 @@ __all__ = [
     "simulate",
     "slot_probabilities",
     "solve_fixed_point",
-    "solve_with_slots",
     "state_members",
     "stationary_generator_solve",
     "stationary_product_form",

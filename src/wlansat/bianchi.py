@@ -20,7 +20,7 @@ root is unique and bracketed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InvalidParameterError, NumericalError
 
@@ -33,22 +33,12 @@ _BISECT_STEPS = 200
 
 @dataclass(frozen=True)
 class BianchiPoint:
-    """Solved contention point for ``n_total`` nodes, plus slot probabilities.
-
-    ``a``/``b``/``c`` are the probabilities that a backoff slot is empty, a
-    success (by any node), or a collision; ``d`` is the probability of a
-    success by one of the tagged WLAN's nodes. They are ``None`` until
-    :func:`slot_probabilities` fills them.
-    """
+    """Solved contention point for ``n_total`` nodes."""
 
     n_total: int
     tau: float
     p: float
     e_b: float
-    a: float | None = None
-    b: float | None = None
-    c: float | None = None
-    d: float | None = None
 
 
 def expected_backoff(p: float, cw_min: int, m: int) -> float:
@@ -146,10 +136,3 @@ def slot_probabilities(point: BianchiPoint, n_tagged: int) -> tuple[float, float
     c = 1.0 - a - b
     d = n_tagged * tau * idle_rest
     return a, b, c, d
-
-
-def solve_with_slots(n_total: int, n_tagged: int, cw_min: int, m: int) -> BianchiPoint:
-    """Convenience: solve the fixed point and fill the slot probabilities."""
-    point = solve_fixed_point(n_total, cw_min, m)
-    a, b, c, d = slot_probabilities(point, n_tagged)
-    return replace(point, a=a, b=b, c=c, d=d)

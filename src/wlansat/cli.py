@@ -29,7 +29,7 @@ from . import ctmc, throughput
 from .bianchi import solve_fixed_point
 from .errors import InvalidParameterError, NumericalError, WlansatError
 from .scenario import Scenario, Wlan, load_scenario, with_cw_min, with_n_nodes
-from .sim import SimConfig, simulate
+from .sim import SimConfig, derive_seeds, simulate
 from .throughput import analyze
 
 _SWEEP_MODES = ("full", "dominant", "ctmc", "sim")
@@ -50,6 +50,8 @@ class SweepSpec:
             raise InvalidParameterError(f"param must be cw_min or n_nodes, got {self.param!r}")
         if not self.values:
             raise InvalidParameterError("values must not be empty")
+        if not self.modes:
+            raise InvalidParameterError("modes must not be empty")
         for mode in self.modes:
             if mode not in _SWEEP_MODES:
                 raise InvalidParameterError(f"modes entries must be in {_SWEEP_MODES}, got {mode!r}")
@@ -181,17 +183,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _sweep_point(packed):
-    scenario_dict, param, value, modes, fix_cw_max, duration, warmup, seed, reps = packed
-    from .scenario import scenario_from_dict  # worker may be a fresh process
-
-    spec = SweepSpec(
-        scenario=scenario_from_dict(scenario_dict),
-        param=param,
-        values=(value,),
-        modes=tuple(modes),
-        fix_cw_max=fix_cw_max,
-    )
-    scenario = spec.apply(value)
+    scenario, param, value, modes, duration, warmup, seed, reps = packed
     rows = []
     for mode in modes:
         if mode == "sim":
@@ -210,9 +202,8 @@ def _sweep_point(packed):
 
 
 def _cmd_sweep(args) -> int:
-    from .scenario import scenario_to_dict
-    from .sim import derive_seeds
-
+    if args.jobs < 1:
+        raise InvalidParameterError(f"jobs must be an integer >= 1, got {args.jobs}")
     scenario = _load(args)
     try:
         values = tuple(int(v) for v in args.values.split(",") if v)
@@ -228,10 +219,9 @@ def _cmd_sweep(args) -> int:
         fix_cw_max=args.fix_cw_max,
     )
 
-    doc = scenario_to_dict(scenario)
     seeds = derive_seeds(args.seed, len(spec.values))
     work = [
-        (doc, spec.param, value, spec.modes, spec.fix_cw_max,
+        (spec.apply(value), spec.param, value, spec.modes,
          args.duration, args.warmup, seeds[k], args.reps)
         for k, value in enumerate(spec.values)
     ]
@@ -299,6 +289,8 @@ def _cmd_bianchi(args) -> int:
 
 
 def _cmd_gamma_curve(args) -> int:
+    if args.n_max < 1:
+        raise InvalidParameterError(f"n_max must be >= 1, got {args.n_max}")
     if args.scenario is not None:
         params = load_scenario(args.scenario).params
     else:

@@ -1,16 +1,16 @@
 """Slotted CSMA/CA simulator: the validation oracle for the analytical model.
 
-Two interchangeable kernels implement the slot process described in
-:mod:`wlansat.sim._engine`: a compiled Cython extension (``_engine_c``) and a
-pure-Python fallback (``_engine``). The compiled one is picked at import time
-when available; set ``WLANSAT_PURE_PYTHON=1`` to force the fallback. Both
-produce bit-identical results for identical seeds.
+Two kernels implement the slot process described in :mod:`wlansat.sim._engine`
+and produce bit-identical results for identical seeds: a compiled Cython
+extension (``_engine_c``) and a pure-Python one (``_engine``). The compiled
+kernel runs whenever it is built, the pure-Python one otherwise.
+:func:`simulate` runs each replication once and aggregates its counts, state
+airtime and per-(WLAN, predecessor) contention probe.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -20,33 +20,14 @@ from . import _engine
 from ._engine import derive_seeds
 
 try:
-    from . import _engine_c
+    from . import _engine_c as _kernel
 except ImportError:  # extension not built; pure-Python semantics are identical
-    _engine_c = None
-
-_FORCED_PURE = bool(os.environ.get("WLANSAT_PURE_PYTHON"))
-_DEFAULT = _engine if (_FORCED_PURE or _engine_c is None) else _engine_c
+    _kernel = _engine
 
 
 def kernel_backend() -> str:
-    """Name of the kernel selected at import: ``"c"`` or ``"python"``."""
-    return "c" if _DEFAULT is _engine_c else "python"
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("c", "python") if _engine_c is not None else ("python",)
-
-
-def _resolve(backend: str | None):
-    if backend is None:
-        return _DEFAULT
-    if backend == "python":
-        return _engine
-    if backend == "c":
-        if _engine_c is None:
-            raise InvalidParameterError("backend 'c' requested but the extension is not built")
-        return _engine_c
-    raise InvalidParameterError(f"backend must be 'c', 'python' or None, got {backend!r}")
+    """Name of the kernel in use: ``"c"`` or ``"python"``."""
+    return "python" if _kernel is _engine else "c"
 
 
 def slot_durations(params: PhyMacParams) -> tuple[int, int]:
@@ -94,6 +75,11 @@ class SimulationResult:
     the measurement window, summed over replications. ``state_airtime`` maps a
     transmitting-WLAN bitmask to its mean fraction of measured time (masks of
     colliding neighbors can fall outside the feasible-state family).
+    ``probe`` classifies every measured attempt by the system state at its
+    start slot: one record per (WLAN, predecessor mask), sorted by that pair,
+    pooled over replications. Set ``collision_fraction`` against the
+    analytical ``p``, and the success share divided by the state's stationary
+    probability against ``1 - gamma``. ``backend`` names the kernel that ran.
     """
 
     throughput: dict[int, float]
@@ -102,7 +88,8 @@ class SimulationResult:
     collisions: dict[int, int]
     state_airtime: dict[int, float]
     rep_throughput: tuple[tuple[float, ...], ...] = field(repr=False)
-    backend: str = "python"
+    probe: tuple[ProbeRecord, ...] = field(repr=False)
+    backend: str = field(default_factory=kernel_backend)
     events: tuple[tuple[tuple[int, int, int, bool, int], ...], ...] | None = field(
         default=None, repr=False
     )
@@ -142,14 +129,14 @@ def _kernel_args(config: SimConfig) -> tuple:
 
 
 def _run_one(packed):
-    backend, args, seed, record_events = packed
-    return _resolve(backend).run_kernel(*args, seed, record_events)
+    args, seed, record_events = packed
+    # looked up at each call, so a wrapper patched onto the kernel module sees every run
+    return _kernel.run_kernel(*args, seed, record_events)
 
 
 def simulate(
     config: SimConfig,
     *,
-    backend: str | None = None,
     record_events: bool = False,
     jobs: int = 1,
 ) -> SimulationResult:
@@ -159,7 +146,8 @@ def simulate(
     so ``jobs > 1`` runs them in a process pool; results are merged by
     replication index either way, making the output independent of ``jobs``.
     """
-    _resolve(backend)  # fail fast on a bad backend name
+    if not isinstance(jobs, int) or jobs < 1:
+        raise InvalidParameterError(f"jobs must be an integer >= 1, got {jobs!r}")
     args = _kernel_args(config)
     warmup_slot, end_slot = args[-2], args[-1]
     measured_slots = end_slot - warmup_slot
@@ -168,10 +156,7 @@ def simulate(
     n_wlans = config.scenario.n_wlans
     reps = config.replications
 
-    work = [
-        (backend, args, seed, record_events)
-        for seed in derive_seeds(config.seed, reps)
-    ]
+    work = [(args, seed, record_events) for seed in derive_seeds(config.seed, reps)]
     if jobs > 1 and reps > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, reps)) as pool:
             outcomes = list(pool.map(_run_one, work))
@@ -181,14 +166,20 @@ def simulate(
     succ_total = [0] * n_wlans
     coll_total = [0] * n_wlans
     state_total: dict[int, int] = {}
+    probe_total: dict[tuple[int, int], list[int]] = {}
     rep_throughput: list[tuple[float, ...]] = []
     all_events = [] if record_events else None
-    for successes, collisions, state_slots, _probe, events in outcomes:
+    for successes, collisions, state_slots, probe, events in outcomes:
         for w in range(n_wlans):
             succ_total[w] += successes[w]
             coll_total[w] += collisions[w]
         for mask, slots in state_slots.items():
             state_total[mask] = state_total.get(mask, 0) + slots
+        for key, (attempts, colls, succ_slots) in probe.items():
+            rec = probe_total.setdefault(key, [0, 0, 0])
+            rec[0] += attempts
+            rec[1] += colls
+            rec[2] += succ_slots
         rep_throughput.append(tuple(s * l_bits / measured_time for s in successes))
         if all_events is not None:
             all_events.append(tuple(events))
@@ -211,36 +202,7 @@ def simulate(
             mask: slots / (measured_slots * reps) for mask, slots in sorted(state_total.items())
         },
         rep_throughput=tuple(rep_throughput),
-        backend=backend or kernel_backend(),
-        events=tuple(all_events) if all_events is not None else None,
-    )
-
-
-def gamma_probe(config: SimConfig, *, backend: str | None = None) -> tuple[ProbeRecord, ...]:
-    """Classify every attempt by the system state at its start slot.
-
-    Aggregates the kernels' per-(WLAN, predecessor-mask) attempt and collision
-    counts over replications. The records allow direct comparison against the
-    analytical collision probability ``p`` and, via the successful-airtime
-    share divided by the state's stationary probability, against ``gamma``.
-    """
-    _resolve(backend)
-    args = _kernel_args(config)
-    measured_slots = args[-1] - args[-2]
-    reps = config.replications
-
-    merged: dict[tuple[int, int], list[int]] = {}
-    for seed in derive_seeds(config.seed, reps):
-        _s, _c, _slots, probe, _e = _resolve(backend).run_kernel(*args, seed, False)
-        for key, (attempts, colls, succ_slots) in probe.items():
-            rec = merged.setdefault(key, [0, 0, 0])
-            rec[0] += attempts
-            rec[1] += colls
-            rec[2] += succ_slots
-
-    out = []
-    for (wlan, pre_mask), (attempts, colls, succ_slots) in sorted(merged.items()):
-        out.append(
+        probe=tuple(
             ProbeRecord(
                 wlan=wlan,
                 predecessor=pre_mask,
@@ -249,5 +211,7 @@ def gamma_probe(config: SimConfig, *, backend: str | None = None) -> tuple[Probe
                 collision_fraction=colls / attempts,
                 success_airtime_share=succ_slots / (measured_slots * reps),
             )
-        )
-    return tuple(out)
+            for (wlan, pre_mask), (attempts, colls, succ_slots) in sorted(probe_total.items())
+        ),
+        events=tuple(all_events) if all_events is not None else None,
+    )

@@ -161,8 +161,3 @@ def test_slot_probabilities_rejects_bad_tagged_count():
     for bad in (0, 5):
         with pytest.raises(InvalidParameterError):
             w.slot_probabilities(point, bad)
-
-
-def test_solve_with_slots_fills_fields():
-    point = w.solve_with_slots(48, 16, 32, 5)
-    assert point.a is not None and point.a + point.b + point.c == pytest.approx(1.0, abs=1e-12)

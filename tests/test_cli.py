@@ -234,6 +234,17 @@ def test_bad_sweep_values_exit_one(capsys):
     assert code == 1 and "values" in err
 
 
+@pytest.mark.parametrize("argv,field", [
+    (("sweep", "iii", "--values", "4", "--modes", ","), "modes"),
+    (("gamma-curve", "--n-max", "0"), "n_max"),
+    (("simulate", "iii", "--jobs", "-3"), "jobs"),
+    (("sweep", "iii", "--values", "4", "--modes", "full", "--jobs", "0"), "jobs"),
+])
+def test_empty_or_nonpositive_input_exits_one_naming_field(capsys, argv, field):
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and field in err
+
+
 def test_non_finite_duration_exits_one_naming_field(capsys):
     code, _, err = run(capsys, "simulate", "iii", "--duration", "inf")
     assert code == 1 and "duration" in err

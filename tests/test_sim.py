@@ -6,7 +6,7 @@ import pytest
 
 import wlansat as w
 from wlansat import InvalidParameterError
-from wlansat.sim import _engine, available_backends, slot_durations
+from wlansat.sim import _engine, _kernel_args, derive_seeds, slot_durations
 from wlansat.sim.audit import label_violations, mutual_exclusion_violations
 
 from conftest import extended_path, make_scenario, path3, single, triangle
@@ -108,7 +108,10 @@ def test_event_kernel_matches_stepwise_oracle(case, seed):
     assert _engine.run_kernel(*args, 100, 5000, seed, True) == expected
 
 
-@pytest.mark.skipif("c" not in available_backends(), reason="extension not built")
+needs_compiled = pytest.mark.skipif(w.kernel_backend() != "c", reason="extension not built")
+
+
+@needs_compiled
 @pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
 def test_compiled_kernel_bit_identical_to_python(case):
     from wlansat.sim import _engine_c
@@ -120,15 +123,16 @@ def test_compiled_kernel_bit_identical_to_python(case):
         assert a == b
 
 
-@pytest.mark.skipif("c" not in available_backends(), reason="extension not built")
+@needs_compiled
 def test_backends_agree_on_full_scenario():
+    # simulate aggregates whatever the kernel returns, so equal kernel outputs
+    # on every replication seed mean equal results on both backends
+    from wlansat.sim import _engine_c
+
     config = w.SimConfig(triangle(4), duration=3.0, warmup=0.5, seed=99, replications=2)
-    res_c = w.simulate(config, backend="c")
-    res_py = w.simulate(config, backend="python")
-    assert res_c.successes == res_py.successes
-    assert res_c.collisions == res_py.collisions
-    assert res_c.state_airtime == res_py.state_airtime
-    assert res_c.rep_throughput == res_py.rep_throughput
+    args = _kernel_args(config)
+    for seed in derive_seeds(config.seed, config.replications):
+        assert _engine_c.run_kernel(*args, seed, False) == _engine.run_kernel(*args, seed, False)
 
 
 # --- physics sanity -----------------------------------------------------------------
@@ -156,9 +160,8 @@ def test_disconnected_wlans_do_not_interact():
 def test_conservation_attempts_split_into_outcomes():
     config = w.SimConfig(triangle(8), duration=5, warmup=0.5, seed=13, replications=2)
     res = w.simulate(config)
-    records = w.gamma_probe(config)
     for i in res.throughput:
-        attempts = sum(r.attempts for r in records if r.wlan == i)
+        attempts = sum(r.attempts for r in res.probe if r.wlan == i)
         assert attempts == res.successes[i] + res.collisions[i]
 
 
@@ -177,6 +180,7 @@ def test_jobs_do_not_change_results():
     parallel = w.simulate(config, jobs=4)
     assert serial.rep_throughput == parallel.rep_throughput
     assert serial.state_airtime == parallel.state_airtime
+    assert serial.probe == parallel.probe
 
 
 def test_throughput_consistent_with_success_counts():
@@ -240,42 +244,39 @@ def test_audit_flags_planted_violation():
 
 
 def test_probe_single_wlan_never_collides():
-    records = w.gamma_probe(w.SimConfig(single(), duration=5, warmup=0.5, seed=2, replications=1))
+    records = w.simulate(w.SimConfig(single(), duration=5, warmup=0.5, seed=2, replications=1)).probe
     assert len(records) == 1
     assert records[0].predecessor == 0
     assert records[0].collision_fraction == 0.0
 
 
-def test_probe_matches_fixed_point_collision_probability():
+@pytest.fixture(scope="module")
+def triangle16_idle_probe():
+    """Probe records of attempts from the idle state, three fully overlapped WLANs of 16."""
+    config = w.SimConfig(triangle(16), duration=60, warmup=1, seed=123, replications=10)
+    return [r for r in w.simulate(config).probe if r.predecessor == 0]
+
+
+def test_probe_matches_fixed_point_collision_probability(triangle16_idle_probe):
     """Fully overlapped 3x16 nodes: empirical per-attempt collision rate ~ p.
 
     Pooled over the three symmetric WLANs; the residual ~1.6% is the real
     decoupling bias of the fixed point against the slotted process, so the 2%
     bound needs the pooled (low-noise) estimate.
     """
-    scenario = triangle(16)
     point = w.solve_fixed_point(48, 32, 5)
-    records = [
-        r
-        for r in w.gamma_probe(w.SimConfig(scenario, duration=60, warmup=1, seed=123, replications=10))
-        if r.predecessor == 0
-    ]
+    records = triangle16_idle_probe
     attempts = sum(r.attempts for r in records)
     colls = sum(r.collisions for r in records)
     assert colls / attempts == pytest.approx(point.p, rel=0.02)
 
 
-def test_probe_success_share_reproduces_gamma():
+def test_probe_success_share_reproduces_gamma(triangle16_idle_probe):
     """1 - (successful airtime)/(stationary occupancy) ~ the analytical discount."""
-    scenario = triangle(16)
-    report = w.analyze(scenario)
+    report = w.analyze(triangle(16))
     dist = report.stationary
     gamma = report.records[0].gamma  # symmetric: identical for all three
-    records = [
-        r
-        for r in w.gamma_probe(w.SimConfig(scenario, duration=60, warmup=1, seed=123, replications=10))
-        if r.predecessor == 0
-    ]
+    records = triangle16_idle_probe
     share = sum(r.success_airtime_share for r in records)
     occupancy = sum(dist.prob(1 << r.wlan) for r in records)
     assert 1.0 - share / occupancy == pytest.approx(gamma, rel=0.05)
@@ -292,8 +293,6 @@ def test_config_validation():
     for field, value in (("duration", float("inf")), ("warmup", float("inf")), ("warmup", float("nan"))):
         with pytest.raises(InvalidParameterError, match=field):
             w.SimConfig(single(), **{field: value})
-    with pytest.raises(InvalidParameterError):
-        w.simulate(w.SimConfig(single()), backend="fortran")
 
 
 def test_slot_durations_round_to_nearest():
