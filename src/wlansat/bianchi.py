@@ -13,9 +13,10 @@ the algebraically identical polynomial form
 
     e_b = (1 + p * sum_{j=0}^{m-1} (2p)^j) * cw_min/2 - 1/2
 
-is used, which is exact for all p in [0, 1). The solver is a damped fixed-point
-iteration with a guaranteed bisection fallback (the map is monotone, so the
-root is unique and bracketed).
+is used, which is exact for all p in [0, 1]; the solver also evaluates it at
+p = 1.0, which large pools reach when (1 - tau)^(n_total - 1) underflows. The
+solver is a damped fixed-point iteration with a guaranteed bisection fallback
+(the map is monotone, so the root is unique and bracketed).
 """
 
 from __future__ import annotations
@@ -53,6 +54,12 @@ def expected_backoff(p: float, cw_min: int, m: int) -> float:
         raise InvalidParameterError(f"cw_min must be >= 2, got {cw_min}")
     if m < 0:
         raise InvalidParameterError(f"m must be >= 0, got {m}")
+    return _backoff(p, cw_min, m)
+
+
+def _backoff(p: float, cw_min: int, m: int) -> float:
+    # The polynomial form is exact on the closed interval [0, 1], so the solver
+    # may evaluate it where (1 - tau)^(n_total - 1) underflows and p rounds to 1.
     geom = 0.0
     term = 1.0
     for _ in range(m):
@@ -66,7 +73,7 @@ def _collision_prob(tau: float, n_total: int) -> float:
 
 
 def _tau_update(tau: float, n_total: int, cw_min: int, m: int) -> float:
-    return 1.0 / (expected_backoff(_collision_prob(tau, n_total), cw_min, m) + 1.0)
+    return 1.0 / (_backoff(_collision_prob(tau, n_total), cw_min, m) + 1.0)
 
 
 def _bisect_tau(n_total: int, cw_min: int, m: int) -> float:
@@ -109,7 +116,7 @@ def solve_fixed_point(n_total: int, cw_min: int, m: int) -> BianchiPoint:
         tau = _bisect_tau(n_total, cw_min, m)
 
     p = _collision_prob(tau, n_total)
-    e_b = expected_backoff(p, cw_min, m)
+    e_b = _backoff(p, cw_min, m)
     residual = abs(tau - 1.0 / (e_b + 1.0))
     if residual > 1e-10:
         raise NumericalError(

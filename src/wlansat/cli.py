@@ -48,6 +48,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.param not in ("cw_min", "n_nodes"):
             raise InvalidParameterError(f"param must be cw_min or n_nodes, got {self.param!r}")
+        if self.fix_cw_max and self.param != "cw_min":
+            raise InvalidParameterError(f"fix_cw_max applies only to param cw_min, got {self.param!r}")
         if not self.values:
             raise InvalidParameterError("values must not be empty")
         if not self.modes:

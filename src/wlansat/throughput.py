@@ -10,12 +10,17 @@ discount ``gamma`` is chosen so that the local two-level occupancy estimate,
 scaled by ``1 - gamma``, reproduces ``y``. The total is then
 
     x_i = sum over feasible s containing i of  pi_s * (1 - gamma_{i,s}) * mu * L
+
+Gamma depends on the transition only through the key ``(i, C)``, where the
+contender mask ``C = N(i) & ~s' & ~N(s')`` and ``N(s')`` is the union of the
+neighbor masks of the members of ``s'``. :func:`analyze` therefore solves one
+gamma per key and reuses it for every transition with that key.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
 from . import ctmc
@@ -28,6 +33,10 @@ from .scenario import PhyMacParams, Scenario, Wlan, theta_of
 @dataclass(frozen=True)
 class GammaRecord:
     """Collision discount for one (WLAN, predecessor state) transition.
+
+    The discount is a function of the WLAN and its contender mask alone, so
+    records of two transitions with the same ``(wlan, contenders)`` key share
+    every field except ``state`` and ``predecessor``.
 
     ``gamma_raw`` is the value before clamping to [0, 1]; it can dip slightly
     below zero at large windows where the slot-level throughput marginally
@@ -216,6 +225,8 @@ def analyze(
     dominant_mass = ctmc.occupancy_mass(dist, restricted)
     wanted = restricted if mode == "dominant-only" else None
 
+    neighbor_masks = [scenario.graph.neighbor_mask(j) for j in range(scenario.n_wlans)]
+    by_key: dict[tuple[int, int], GammaRecord] = {}
     contributions: list[Contribution] = []
     records: list[GammaRecord] = []
     terms: dict[int, list[float]] = {w.id: [] for w in scenario.wlans}
@@ -224,13 +235,20 @@ def analyze(
             continue
         for i in state_members(s):
             predecessor = s & ~(1 << i)
-            wlan = scenario.wlans[i]
-            if collisions:
-                record = gamma_factor(wlan, predecessor, scenario, space)
+            blocked = predecessor
+            for j in state_members(predecessor):
+                blocked |= neighbor_masks[j]
+            contender_mask = neighbor_masks[i] & ~blocked
+            key = (i, contender_mask)
+            record = by_key.get(key)
+            if record is not None:
+                record = replace(record, state=s, predecessor=predecessor)
+            elif collisions:
+                record = by_key[key] = gamma_factor(scenario.wlans[i], predecessor, scenario, space)
             else:
-                contenders = contender_set(i, predecessor, space)
+                contenders = state_members(contender_mask)
                 local_z = 1.0 + thetas[i] + sum(thetas[j] for j in contenders)
-                record = GammaRecord(
+                record = by_key[key] = GammaRecord(
                     wlan=i,
                     state=s,
                     predecessor=predecessor,

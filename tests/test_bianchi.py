@@ -113,6 +113,26 @@ def test_solver_matches_bisection_oracle(n_total, cw, m):
     assert abs(point.p - (1.0 - (1.0 - point.tau) ** (n_total - 1))) <= 1e-10
 
 
+@pytest.mark.parametrize("n_total", [1, 2, 3, 10, 96, 100, 1000, 3000, 10_000])
+def test_solver_large_pools_stay_in_domain(n_total):
+    # up to 10^4 nodes at small windows (1 - tau)^(n_total - 1) underflows
+    # and p rounds to 1.0; the solve must still return a residual-free point
+    for cw in (2, 3, 4, 8, 16, 32):
+        for m in range(8):
+            point = w.solve_fixed_point(n_total, cw, m)
+            assert 0.0 <= point.p <= 1.0
+            assert abs(point.tau - 1.0 / (point.e_b + 1.0)) <= 1e-10
+            assert abs(point.p - (1.0 - (1.0 - point.tau) ** (n_total - 1))) <= 1e-10
+
+
+def test_solver_at_rounded_unit_collision_probability():
+    # the true p is 1 - 3^-999, which rounds to 1.0; with m = 0, e_b = cw/2 - 1/2
+    point = w.solve_fixed_point(1000, 2, 0)
+    assert point.p == 1.0
+    assert point.e_b == 0.5
+    assert point.tau == 1.0 / 1.5
+
+
 def test_collision_probability_monotone_in_pool_size():
     ps = [w.solve_fixed_point(n, 32, 5).p for n in (1, 2, 4, 8, 16, 32, 64)]
     assert all(a <= b for a, b in zip(ps, ps[1:]))

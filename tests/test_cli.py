@@ -40,6 +40,16 @@ def test_bianchi_prints_fixed_point(capsys):
     assert repr(2.0 / 33.0) in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("bianchi", "--n-total", "96", "--cw-min", "4", "--m", "5"),
+    ("analyze", "iii", "--n-nodes", "100000"),
+])
+def test_collision_probability_rounding_to_one_exits_zero(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out
+
+
 # --- analyze ---------------------------------------------------------------------
 
 
@@ -239,6 +249,7 @@ def test_bad_sweep_values_exit_one(capsys):
     (("gamma-curve", "--n-max", "0"), "n_max"),
     (("simulate", "iii", "--jobs", "-3"), "jobs"),
     (("sweep", "iii", "--values", "4", "--modes", "full", "--jobs", "0"), "jobs"),
+    (("sweep", "iii", "--param", "n_nodes", "--values", "4", "--fix-cw-max"), "fix_cw_max"),
 ])
 def test_empty_or_nonpositive_input_exits_one_naming_field(capsys, argv, field):
     code, _, err = run(capsys, *argv)

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wlansat as w
-from wlansat import ContractViolationError
+from wlansat import ContractViolationError, throughput
 
 from conftest import extended_path, make_scenario, path3, single, triangle
 
@@ -222,3 +225,131 @@ def test_report_json_mirror_roundtrips():
 def test_analyze_rejects_unknown_mode():
     with pytest.raises(ContractViolationError):
         w.analyze(path3(), "fastest")
+
+
+# --- one gamma per (WLAN, contender set) ----------------------------------------
+
+
+def per_transition_analyze(scenario, mode, collisions):
+    """``analyze`` without grouping: one ``gamma_factor`` call per transition.
+
+    Returns ``(per_wlan, records, contributions)`` built in the same order and
+    with the same arithmetic as ``analyze``.
+    """
+    space = w.enumerate_states(scenario)
+    thetas = scenario.thetas()
+    dist = w.stationary_product_form(space, thetas)
+    mu_l = scenario.params.mu * scenario.params.l_bits
+    wanted = throughput.dominant_closure(space) if mode == "dominant-only" else None
+    records, contributions = [], []
+    terms = {wlan.id: [] for wlan in scenario.wlans}
+    for s in space.states:
+        if not s or (wanted is not None and s not in wanted):
+            continue
+        for i in w.state_members(s):
+            predecessor = s & ~(1 << i)
+            if collisions:
+                record = w.gamma_factor(scenario.wlans[i], predecessor, scenario, space)
+            else:
+                contenders = w.contender_set(i, predecessor, space)
+                local_z = 1.0 + thetas[i] + sum(thetas[j] for j in contenders)
+                record = w.GammaRecord(
+                    wlan=i,
+                    state=s,
+                    predecessor=predecessor,
+                    contenders=contenders,
+                    k_nodes=sum(scenario.wlans[j].n_nodes for j in contenders),
+                    y=mu_l * thetas[i] / local_z,
+                    gamma_raw=0.0,
+                    gamma=0.0,
+                    p=0.0,
+                )
+            records.append(record)
+            pi_s = dist.prob(s)
+            term = pi_s * (1.0 - record.gamma) * mu_l
+            contributions.append(w.Contribution(wlan=i, state=s, pi=pi_s, gamma=record.gamma, term=term))
+            terms[i].append(term)
+    per_wlan = {i: math.fsum(values) for i, values in terms.items()}
+    return per_wlan, tuple(records), tuple(contributions)
+
+
+def geometric(n_wlans, seed):
+    """APs placed uniformly in the unit square, in conflict below distance 0.4."""
+    rng = random.Random(seed)
+    points = [(rng.random(), rng.random()) for _ in range(n_wlans)]
+    edges = [
+        (a, b) for a in range(n_wlans) for b in range(a + 1, n_wlans)
+        if math.dist(points[a], points[b]) < 0.4
+    ]
+    return make_scenario(n_wlans, edges, [rng.randint(1, 4) for _ in range(n_wlans)])
+
+
+def grid3x3():
+    """9 APs on a square grid of spacing 1/3; each hears its grid neighbours."""
+    points = [(c / 3, r / 3) for r in range(3) for c in range(3)]
+    edges = [(a, b) for a in range(9) for b in range(a + 1, 9) if math.dist(points[a], points[b]) < 0.35]
+    return make_scenario(9, edges, n_nodes=4)
+
+
+def assert_matches_per_transition_reference(scenario, mode, collisions):
+    per_wlan, records, contributions = per_transition_analyze(scenario, mode, collisions)
+    report = w.analyze(scenario, mode, collisions=collisions)
+    assert report.per_wlan == per_wlan
+    assert report.records == records
+    assert report.contributions == contributions
+
+
+@pytest.mark.parametrize("name", ["i", "ii", "iii"])
+@pytest.mark.parametrize("cw", [4, 32, 1024])
+@pytest.mark.parametrize("mode", ["full", "dominant-only"])
+@pytest.mark.parametrize("collisions", [True, False])
+def test_keyed_analyze_equals_reference_on_bundled(name, cw, mode, collisions):
+    scenario = w.with_cw_min(w.bundled_scenario(name), cw)
+    assert_matches_per_transition_reference(scenario, mode, collisions)
+
+
+@pytest.mark.parametrize("n_wlans,seed", [(10, 1), (12, 4)])
+@pytest.mark.parametrize("mode", ["full", "dominant-only"])
+@pytest.mark.parametrize("collisions", [True, False])
+def test_keyed_analyze_equals_reference_on_geometric(n_wlans, seed, mode, collisions):
+    assert_matches_per_transition_reference(geometric(n_wlans, seed), mode, collisions)
+
+
+def test_analyze_solves_gamma_once_per_key(monkeypatch):
+    scenario = grid3x3()
+    space = w.enumerate_states(scenario)
+    keys = {
+        (i, w.contender_set(i, s & ~(1 << i), space))
+        for s in space.states
+        for i in w.state_members(s)
+    }
+    original = throughput.gamma_factor
+    calls = []
+
+    def counting(wlan, predecessor, scenario, space):
+        calls.append((wlan.id, predecessor))
+        return original(wlan, predecessor, scenario, space)
+
+    monkeypatch.setattr(throughput, "gamma_factor", counting)
+    report = w.analyze(scenario, space=space)
+    assert len(calls) == len(keys) == 46
+    assert len(report.records) == 152
+
+
+@st.composite
+def small_scenarios(draw):
+    n = draw(st.integers(1, 8))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    return make_scenario(n, edges)
+
+
+@given(small_scenarios())
+@settings(max_examples=60, deadline=None)
+def test_key_mask_members_equal_contender_set(scenario):
+    # with collisions off each record's contenders are the members of its key mask
+    space = w.enumerate_states(scenario)
+    report = w.analyze(scenario, collisions=False, space=space)
+    assert len(report.records) == sum(s.bit_count() for s in space.states)
+    for record in report.records:
+        assert record.contenders == w.contender_set(record.wlan, record.predecessor, space)
