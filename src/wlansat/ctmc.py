@@ -6,6 +6,10 @@ set = WLAN i active). The chain moves up by one WLAN at rate ``lambda_i`` and
 down at rate ``mu``; it is reversible, so the stationary distribution has the
 product form ``pi_s ∝ prod_{i in s} theta_i``.
 
+Enumeration, maximality and the product-form weights are passes over a
+``uint32`` array of all state masks: one numpy operation per WLAN acts on every
+state at once.
+
 :func:`stationary_generator_solve` computes the same distribution by direct
 linear algebra on the explicit generator matrix. It exists purely as an
 independent cross-check of the product form and is limited to small spaces.
@@ -19,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericalError, StateSpaceTooLargeError
+from .errors import ContractViolationError, InvalidParameterError, NumericalError, StateSpaceTooLargeError
 from .scenario import MAX_WLANS, Scenario
 
 #: Largest state count accepted by the dense generator solve.
@@ -28,6 +32,8 @@ MAX_DENSE_STATES = 4096
 
 def state_members(mask: int) -> tuple[int, ...]:
     """WLAN ids present in a state bitmask, ascending."""
+    if mask < 0:
+        raise ContractViolationError(f"a state mask must be >= 0, got {mask}")
     members = []
     i = 0
     while mask:
@@ -48,12 +54,14 @@ class FeasibleStateSpace:
     """All independent sets of a scenario's conflict graph, in a fixed order.
 
     States are ordered by (size, numeric mask value); the empty state is always
-    index 0. ``index`` maps a mask back to its ordinal.
+    index 0. ``index`` maps a mask back to its ordinal; ``masks`` holds the same
+    states, in the same order, as a ``uint32`` array for the vectorized passes.
     """
 
     scenario: Scenario
     states: tuple[int, ...]
     index: dict[int, int] = field(repr=False)
+    masks: np.ndarray = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -63,13 +71,7 @@ class FeasibleStateSpace:
 
     def size_histogram(self) -> list[int]:
         """Number of states of each cardinality, from 0 up to the largest."""
-        counts: list[int] = []
-        for s in self.states:
-            k = s.bit_count()
-            while len(counts) <= k:
-                counts.append(0)
-            counts[k] += 1
-        return counts
+        return np.bincount([s.bit_count() for s in self.states]).tolist()
 
 
 @dataclass(frozen=True)
@@ -80,62 +82,53 @@ class StationaryDistribution:
     pi: np.ndarray = field(repr=False)
 
     def prob(self, mask: int) -> float:
-        return float(self.pi[self.space.index[mask]])
+        k = self.space.index.get(mask)
+        if k is None:
+            raise ContractViolationError(f"{format_state(mask)} is not a feasible state")
+        return float(self.pi[k])
 
 
 def enumerate_states(scenario: Scenario) -> FeasibleStateSpace:
     """Enumerate every feasible state (independent set), including the empty one.
 
-    States are grown breadth-first by size: each size-k state is extended with
-    every non-adjacent WLAN of higher id, which visits each independent set
-    exactly once and never touches an infeasible subset. The result is
-    downward closed and deterministically ordered by (size, mask value).
+    Level k+1 extends, for each WLAN ``j``, the level-k masks below ``1 << j``
+    that miss ``N(j)``, which visits each independent set exactly once and
+    never an infeasible subset. The extensions by ``j`` lie in
+    ``[1 << j, 2 << j)``, so joined in ascending ``j`` each level comes out
+    sorted: the result is downward closed and ordered by (size, mask value).
     """
     n = scenario.n_wlans
     if n > MAX_WLANS:
         raise StateSpaceTooLargeError(f"{n} WLANs exceed the cap of {MAX_WLANS}")
-    adj = [scenario.graph.neighbor_mask(i) for i in range(n)]
-    states: list[int] = [0]
-    level = [0]
-    while level:
-        nxt = []
-        for s in level:
-            high = s.bit_length()  # only extend with ids above the current max
-            for j in range(high, n):
-                if not adj[j] & s:
-                    nxt.append(s | 1 << j)
-        nxt.sort()
-        states.extend(nxt)
-        level = nxt
-    return FeasibleStateSpace(
-        scenario=scenario,
-        states=tuple(states),
-        index={s: k for k, s in enumerate(states)},
-    )
+    adj = [scenario.graph.neighbor_mask(j) for j in range(n)]
+    level = np.zeros(1, dtype=np.uint32)
+    levels = [level]
+    while level.size:
+        grown = []
+        for j in range(n):
+            below = level[: np.searchsorted(level, 1 << j)]  # max member < j
+            grown.append(below[(below & adj[j]) == 0] | 1 << j)
+        level = np.concatenate(grown)
+        levels.append(level)
+    masks = np.concatenate(levels)
+    states = tuple(masks.tolist())
+    index = dict(zip(states, range(len(states))))
+    return FeasibleStateSpace(scenario=scenario, states=states, index=index, masks=masks)
 
 
 def dominant_states(space: FeasibleStateSpace) -> tuple[int, ...]:
     """States to which no WLAN can be added: the maximal independent sets.
 
-    These carry most of the occupancy mass for typical parameters and are the
-    basis of the reduced computation mode in :func:`wlansat.throughput.analyze`.
+    One array test per WLAN ``j`` marks the states ``j`` could join; the
+    unmarked ones are returned in state order. They carry most of the occupancy
+    mass for typical parameters and are the basis of the reduced computation
+    mode in :func:`wlansat.throughput.analyze`.
     """
-    n = space.scenario.n_wlans
-    adj = [space.scenario.graph.neighbor_mask(i) for i in range(n)]
-    out = []
-    for s in space.states:
-        extendable = any(not (s >> j & 1) and not (adj[j] & s) for j in range(n))
-        if not extendable:
-            out.append(s)
-    return tuple(out)
-
-
-def state_weight(mask: int, thetas: Sequence[float]) -> float:
-    """Unnormalized product-form weight ``prod_{i in s} theta_i`` (1 for the empty state)."""
-    w = 1.0
-    for i in state_members(mask):
-        w *= thetas[i]
-    return w
+    masks = space.masks
+    extendable = np.zeros(masks.shape, dtype=bool)
+    for j in range(space.scenario.n_wlans):
+        extendable |= (masks & space.scenario.graph.closed_mask(j)) == 0
+    return tuple(masks[~extendable].tolist())
 
 
 def stationary_product_form(
@@ -143,9 +136,10 @@ def stationary_product_form(
 ) -> StationaryDistribution:
     """Closed-form stationary distribution ``pi_s = w_s / sum_z w_z``.
 
-    ``thetas`` must contain one positive, finite ratio per WLAN id. The
-    normalizing sum is accumulated with exact (``math.fsum``) summation, so the
-    distribution sums to 1 to within a few ulps even for large spaces.
+    ``thetas`` must contain one positive, finite ratio per WLAN id. ``theta_i``
+    multiplies the weight of every state containing ``i``, in ascending ``i``,
+    so each weight is the product a per-state loop would form, rounded alike.
+    The normalizing sum is exact (``math.fsum``): pi sums to 1 within a few ulps.
     """
     n = space.scenario.n_wlans
     if len(thetas) != n:
@@ -153,14 +147,17 @@ def stationary_product_form(
     for i, th in enumerate(thetas):
         if not math.isfinite(th) or th <= 0:
             raise InvalidParameterError(f"thetas[{i}] must be finite and > 0, got {th}")
-    weights = [state_weight(s, thetas) for s in space.states]
-    if not all(math.isfinite(w) for w in weights):
+    weights = np.ones(len(space))
+    with np.errstate(over="ignore"):  # an overflow is reported as NumericalError below
+        for i, th in enumerate(thetas):
+            np.multiply(weights, th, out=weights, where=(space.masks & 1 << i) != 0)
+    if not np.isfinite(weights).all():
         raise NumericalError("product-form weight overflowed double precision")
-    z = math.fsum(sorted(weights, reverse=True))
-    if not math.isfinite(z):
-        raise NumericalError("product-form normalizing constant overflowed")
-    pi = np.asarray(weights, dtype=float) / z
-    return StationaryDistribution(space=space, pi=pi)
+    try:
+        z = math.fsum(weights.tolist())
+    except OverflowError:  # finite weights whose exact sum is past double range
+        raise NumericalError("product-form normalizing constant overflowed") from None
+    return StationaryDistribution(space=space, pi=weights / z)
 
 
 def stationary_generator_solve(

@@ -223,15 +223,15 @@ def analyze(
 
     restricted = dominant_closure(space)
     dominant_mass = ctmc.occupancy_mass(dist, restricted)
-    wanted = restricted if mode == "dominant-only" else None
+    walk = sorted(restricted, key=space.index.__getitem__) if mode == "dominant-only" else space.states
 
     neighbor_masks = [scenario.graph.neighbor_mask(j) for j in range(scenario.n_wlans)]
     by_key: dict[tuple[int, int], GammaRecord] = {}
     contributions: list[Contribution] = []
     records: list[GammaRecord] = []
     terms: dict[int, list[float]] = {w.id: [] for w in scenario.wlans}
-    for s in space.states:
-        if not s or (wanted is not None and s not in wanted):
+    for s in walk:
+        if not s:
             continue
         for i in state_members(s):
             predecessor = s & ~(1 << i)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wlansat as w
-from wlansat import InvalidParameterError, StateSpaceTooLargeError
+from wlansat import ContractViolationError, InvalidParameterError, StateSpaceTooLargeError
 
 from conftest import extended_path, make_scenario, path3, single, triangle
 
@@ -144,10 +146,20 @@ def test_product_form_rejects_bad_theta():
 
 
 def test_product_form_overflow_raises():
-    # no log-domain fallback: a weight past double range is a hard error
+    # no log-domain fallback: a weight past double range is a hard error,
+    # and the error is the only signal (numpy's overflow warning is silenced)
     space = w.enumerate_states(make_scenario(2, []))
-    with pytest.raises(w.NumericalError):
-        w.stationary_product_form(space, [1e200, 1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(w.NumericalError, match="weight overflowed"):
+            w.stationary_product_form(space, [1e200, 1e200])
+
+
+def test_product_form_normalizer_overflow_raises():
+    # every weight is finite (1, 1e308, 1, 1e308) but their sum is not
+    space = w.enumerate_states(make_scenario(2, []))
+    with pytest.raises(w.NumericalError, match="normalizing constant"):
+        w.stationary_product_form(space, [1e308, 1.0])
 
 
 def test_generator_solve_single_wlan():
@@ -225,8 +237,93 @@ def test_generator_solve_state_cap():
         w.stationary_generator_solve(space, scenario.lambdas(), scenario.params.mu)
 
 
+def test_infeasible_state_is_a_contract_violation_naming_it():
+    scenario = w.bundled_scenario("iii")
+    dist = w.stationary_product_form(w.enumerate_states(scenario), scenario.thetas())
+    assert not scenario.graph.adjacent(0, 2) and scenario.graph.adjacent(0, 1)
+    assert dist.prob(0b101) > 0
+    with pytest.raises(ContractViolationError, match=r"\{0,1\} is not a feasible state"):
+        dist.prob(0b011)
+    with pytest.raises(ContractViolationError, match=r"\{0,1\} is not a feasible state"):
+        w.occupancy_mass(dist, [0, 0b011])
+
+
+def test_negative_mask_is_a_contract_violation():
+    with pytest.raises(ContractViolationError, match="got -1"):
+        w.state_members(-1)
+    with pytest.raises(ContractViolationError, match="got -4"):
+        w.format_state(-4)
+
+
 def test_occupancy_mass_counts_each_state_once():
     scenario = path3()
     space = w.enumerate_states(scenario)
     dist = w.stationary_product_form(space, scenario.thetas())
     assert w.occupancy_mass(dist, list(space.states) + [0]) == pytest.approx(1.0, abs=1e-12)
+
+
+# --- the mask-array passes against per-state loops ------------------------------
+
+
+def reference_layer(scenario, thetas):
+    """States, index, dominant states and pi from one Python step per state.
+
+    A copy of the per-state loops the mask-array passes replaced; their
+    outputs must be reproduced exactly, not to a tolerance.
+    """
+    n = scenario.n_wlans
+    adj = [scenario.graph.neighbor_mask(i) for i in range(n)]
+    states, level = [0], [0]
+    while level:
+        nxt = [s | 1 << j for s in level for j in range(s.bit_length(), n) if not adj[j] & s]
+        nxt.sort()
+        states.extend(nxt)
+        level = nxt
+    dominant = tuple(
+        s for s in states if not any(not (s >> j & 1) and not (adj[j] & s) for j in range(n))
+    )
+    weights = []
+    for s in states:
+        weight = 1.0
+        for i in range(n):
+            if s >> i & 1:
+                weight *= thetas[i]
+        weights.append(weight)
+    pi = np.asarray(weights, dtype=float) / math.fsum(sorted(weights, reverse=True))
+    return tuple(states), {s: k for k, s in enumerate(states)}, dominant, pi
+
+
+def seeded_graph(n, density, seed=0):
+    rnd = random.Random(seed)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return make_scenario(n, [e for e in pairs if rnd.random() < density])
+
+
+def disjoint_triangles(k):
+    """``k`` disjoint triangles: 4^k states, masks up to bit 3k - 1."""
+    return make_scenario(3 * k, [(t + a, t + b) for t in range(0, 3 * k, 3) for a, b in ((0, 1), (0, 2), (1, 2))])
+
+
+LAYER_CASES = {
+    **{name: lambda name=name: w.bundled_scenario(name) for name in ("i", "ii", "iii")},
+    **{
+        f"seeded-{n}-{density}": lambda n=n, density=density: seeded_graph(n, density, seed=100 * n)
+        for n, density in [(1, 0.0), (4, 0.5), (7, 0.3), (10, 0.1), (12, 0.6), (15, 0.25), (18, 0.4), (20, 0.3)]
+    },
+    "edgeless-20": lambda: seeded_graph(20, 0.0),
+    "clique-20": lambda: seeded_graph(20, 1.0),
+    "triangles-24": lambda: disjoint_triangles(8),  # 65,536 states, bit 23 in use
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYER_CASES))
+def test_mask_passes_equal_per_state_loops(case):
+    scenario = LAYER_CASES[case]()
+    rnd = random.Random(case)
+    thetas = [rnd.uniform(0.05, 20.0) for _ in range(scenario.n_wlans)]
+    states, index, dominant, pi = reference_layer(scenario, thetas)
+    space = w.enumerate_states(scenario)
+    assert space.states == states
+    assert space.index == index
+    assert w.dominant_states(space) == dominant
+    assert np.array_equal(w.stationary_product_form(space, thetas).pi, pi)
