@@ -169,7 +169,7 @@ def _cmd_simulate(args) -> int:
     ]
     out = _outdir(args)
     if out is None:
-        print(f"backend: {result.backend}   reps: {config.replications}   duration: {config.duration}s")
+        print(f"reps: {config.replications}   duration: {config.duration}s")
         for w, x, se, s, c, _ in rows:
             print(f"wlan {w}: {_fmt(x)} +- {_fmt(se)} {_x_header(args.mbps)} ({s} ok / {c} lost)")
         return 0

@@ -16,6 +16,7 @@ quantities drive the state-occupancy model in :mod:`wlansat.ctmc`.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Iterable, Mapping
@@ -59,6 +60,8 @@ class PhyMacParams:
                 raise InvalidParameterError(f"{field} must be a number, got {value!r}")
             if not value > 0:
                 raise InvalidParameterError(f"{field} must be > 0, got {value}")
+            if not value <= sys.float_info.max:  # inf, or an int past float range
+                raise InvalidParameterError(f"{field} must be finite, got {value}")
         if not isinstance(self.cw_min, int) or isinstance(self.cw_min, bool):
             raise InvalidParameterError(f"cw_min must be an integer, got {self.cw_min!r}")
         if self.cw_min < 2:
@@ -108,7 +111,7 @@ class ConflictGraph:
                 a, b = edge
             except (TypeError, ValueError):
                 raise InvalidParameterError(f"edges must be [id, id] pairs, got {edge!r}") from None
-            if not (isinstance(a, int) and isinstance(b, int)):
+            if not all(isinstance(x, int) and not isinstance(x, bool) for x in (a, b)):
                 raise InvalidParameterError(f"edges must contain integer ids, got {edge!r}")
             if a == b:
                 raise InvalidParameterError(f"edges may not be self-loops, got {edge!r}")

@@ -1,11 +1,8 @@
 """Slotted CSMA/CA simulator: the validation oracle for the analytical model.
 
-Two kernels implement the slot process described in :mod:`wlansat.sim._engine`
-and produce bit-identical results for identical seeds: a compiled Cython
-extension (``_engine_c``) and a pure-Python one (``_engine``). The compiled
-kernel runs whenever it is built, the pure-Python one otherwise.
-:func:`simulate` runs each replication once and aggregates its counts, state
-airtime and per-(WLAN, predecessor) contention probe.
+The kernel in :mod:`wlansat.sim._engine` runs the slot process of one
+replication. :func:`simulate` runs each replication once and aggregates its
+counts, state airtime and per-(WLAN, predecessor) contention probe.
 """
 
 from __future__ import annotations
@@ -19,15 +16,10 @@ from ..scenario import PhyMacParams, Scenario
 from . import _engine
 from ._engine import derive_seeds
 
-try:
-    from . import _engine_c as _kernel
-except ImportError:  # extension not built; pure-Python semantics are identical
-    _kernel = _engine
-
 
 def kernel_backend() -> str:
-    """Name of the kernel in use: ``"c"`` or ``"python"``."""
-    return "python" if _kernel is _engine else "c"
+    """Name of the simulation kernel: always ``"python"``."""
+    return "python"
 
 
 def slot_durations(params: PhyMacParams) -> tuple[int, int]:
@@ -79,7 +71,7 @@ class SimulationResult:
     start slot: one record per (WLAN, predecessor mask), sorted by that pair,
     pooled over replications. Set ``collision_fraction`` against the
     analytical ``p``, and the success share divided by the state's stationary
-    probability against ``1 - gamma``. ``backend`` names the kernel that ran.
+    probability against ``1 - gamma``.
     """
 
     throughput: dict[int, float]
@@ -89,7 +81,6 @@ class SimulationResult:
     state_airtime: dict[int, float]
     rep_throughput: tuple[tuple[float, ...], ...] = field(repr=False)
     probe: tuple[ProbeRecord, ...] = field(repr=False)
-    backend: str = field(default_factory=kernel_backend)
     events: tuple[tuple[tuple[int, int, int, bool, int], ...], ...] | None = field(
         default=None, repr=False
     )
@@ -131,7 +122,7 @@ def _kernel_args(config: SimConfig) -> tuple:
 def _run_one(packed):
     args, seed, record_events = packed
     # looked up at each call, so a wrapper patched onto the kernel module sees every run
-    return _kernel.run_kernel(*args, seed, record_events)
+    return _engine.run_kernel(*args, seed, record_events)
 
 
 def simulate(

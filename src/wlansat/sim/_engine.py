@@ -1,4 +1,4 @@
-"""Pure-Python simulation kernel: slotted CSMA/CA over a WLAN conflict graph.
+"""Simulation kernel: slotted CSMA/CA over a WLAN conflict graph.
 
 The process is slot-synchronous. Every node holds a backoff counter drawn
 uniformly from [0, CW-1]; a node observes a slot as idle when no node of its
@@ -27,9 +27,8 @@ index, as a slot-by-slot walk over the nodes would. Heap ties break on the
 node index, and starters from several WLANs are sorted.
 
 RNG: SplitMix64 (Steele et al.), one named 64-bit stream per replication;
-draws map the next output onto [0, CW-1] by multiply-shift. The compiled
-kernel in ``_engine_c`` replicates this stream bit for bit, so both backends
-produce identical results for identical seeds.
+draws map the next output onto [0, CW-1] by multiply-shift, so results are
+identical for identical seeds on every machine.
 """
 
 from __future__ import annotations

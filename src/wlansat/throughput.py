@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Literal
 
 from . import ctmc
-from .bianchi import slot_probabilities, solve_fixed_point
+from .bianchi import BianchiPoint, slot_probabilities, solve_fixed_point
 from .ctmc import FeasibleStateSpace, StationaryDistribution, state_members
 from .errors import ContractViolationError
 from .scenario import PhyMacParams, Scenario, Wlan, theta_of
@@ -139,6 +139,12 @@ def contender_set(wlan: int, predecessor: int, space: FeasibleStateSpace) -> tup
     return tuple(out)
 
 
+def _renewal_throughput(point: BianchiPoint, n_tagged: int, params: PhyMacParams) -> float:
+    """Payload per slot over slot duration for ``n_tagged`` nodes at a solved point."""
+    a, b, c, d = slot_probabilities(point, n_tagged)
+    return d * params.l_bits / (a * params.t_e + b * params.e_t + c * params.e_tc)
+
+
 def conditional_throughput(wlan: Wlan, k_nodes: int, params: PhyMacParams) -> float:
     """Slot-level throughput of ``wlan`` against ``k_nodes`` foreign contenders.
 
@@ -146,8 +152,7 @@ def conditional_throughput(wlan: Wlan, k_nodes: int, params: PhyMacParams) -> fl
     the fixed point solved for all ``k_nodes + n_nodes`` contending nodes.
     """
     point = solve_fixed_point(k_nodes + wlan.n_nodes, params.cw_min, params.m)
-    a, b, c, d = slot_probabilities(point, wlan.n_nodes)
-    return d * params.l_bits / (a * params.t_e + b * params.e_t + c * params.e_tc)
+    return _renewal_throughput(point, wlan.n_nodes, params)
 
 
 def gamma_factor(
@@ -164,8 +169,7 @@ def gamma_factor(
     params = scenario.params
     k_nodes = sum(scenario.wlans[j].n_nodes for j in contenders)
     point = solve_fixed_point(k_nodes + wlan.n_nodes, params.cw_min, params.m)
-    a, b, c, d = slot_probabilities(point, wlan.n_nodes)
-    y = d * params.l_bits / (a * params.t_e + b * params.e_t + c * params.e_tc)
+    y = _renewal_throughput(point, wlan.n_nodes, params)
 
     theta_i = theta_of(wlan, params)
     local_z = 1.0 + theta_i + sum(theta_of(scenario.wlans[j], params) for j in contenders)

@@ -215,6 +215,20 @@ def test_invalid_scenario_exits_one_naming_field(tmp_path, capsys):
     assert "cw_min" in err
 
 
+@pytest.mark.parametrize("key,field", [("l_bits", "l_bits"), ("e_t_s", "e_t"), ("t_e_s", "t_e")])
+def test_infinite_param_exits_one_naming_field(tmp_path, capsys, key, field):
+    params = {"t_e_s": 9e-6, "e_t_s": 6.63e-3, "e_tc_s": 6.63e-3,
+              "cw_min": 32, "m": 5, "l_bits": 768000}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "wlans": [{"id": 0, "n_nodes": 1}, {"id": 1, "n_nodes": 1}],
+        "edges": [[0, 1]],
+        "params": {**params, key: float("inf")},
+    }))
+    code, _, err = run(capsys, "analyze", str(bad))
+    assert code == 1 and f"{field} must be finite" in err
+
+
 def test_unknown_key_exits_one_naming_field(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import given
@@ -82,10 +83,13 @@ def test_lambda_monotone_in_nodes():
 @pytest.mark.parametrize(
     "overrides",
     [dict(cw_min=1), dict(cw_min=0), dict(m=-1), dict(t_e=0.0), dict(e_t=-1.0),
-     dict(e_tc=0.0), dict(l_bits=0), dict(cw_min=2.5), dict(m=1.5)],
+     dict(e_tc=0.0), dict(l_bits=0), dict(cw_min=2.5), dict(m=1.5),
+     dict(t_e=math.inf), dict(e_t=math.inf), dict(e_tc=math.inf), dict(l_bits=math.inf),
+     dict(l_bits=10**400)],
 )
 def test_bad_params_rejected(overrides):
-    with pytest.raises(InvalidParameterError):
+    (field,) = overrides
+    with pytest.raises(InvalidParameterError, match=field):
         make_params(**overrides)
 
 
@@ -101,6 +105,8 @@ def test_graph_rejects_self_edge_and_unknown_ids():
         w.ConflictGraph(3, [(1, 1)])
     with pytest.raises(InvalidParameterError):
         w.ConflictGraph(3, [(0, 3)])
+    with pytest.raises(InvalidParameterError):
+        w.ConflictGraph(3, [(0, True)])
 
 
 def test_scenario_requires_dense_ids():

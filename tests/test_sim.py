@@ -1,4 +1,4 @@
-"""Simulator: kernel oracle equivalence, backend parity, physics sanity, audits."""
+"""Simulator: kernel oracle equivalence, tracer hook, physics sanity, audits."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 import wlansat as w
 from wlansat import InvalidParameterError
-from wlansat.sim import _engine, _kernel_args, derive_seeds, slot_durations
+from wlansat.sim import _engine, derive_seeds, slot_durations
 from wlansat.sim.audit import label_violations, mutual_exclusion_violations
 
 from conftest import extended_path, make_scenario, path3, single, triangle
@@ -18,7 +18,7 @@ from conftest import extended_path, make_scenario, path3, single, triangle
 # decrement only in fully idle slots (a transmission starting in a slot makes
 # it busy), transmit decisions use the pre-start mask, finished transmitters
 # redraw in node order. Consumes the identical RNG stream, so any scheduling
-# bug in the event-driven kernels shows up as a hard mismatch.
+# bug in the event-driven kernel shows up as a hard mismatch.
 
 
 def stepwise_kernel(node_wlan, neigh_masks, cw_min, m_stages, d_succ, d_coll,
@@ -108,31 +108,21 @@ def test_event_kernel_matches_stepwise_oracle(case, seed):
     assert _engine.run_kernel(*args, 100, 5000, seed, True) == expected
 
 
-needs_compiled = pytest.mark.skipif(w.kernel_backend() != "c", reason="extension not built")
+def test_simulate_looks_up_the_kernel_at_each_replication(monkeypatch):
+    # an outside tracer patches _engine.run_kernel and must see every replication
+    config = w.SimConfig(triangle(4), duration=3.0, warmup=0.5, seed=99, replications=3)
+    plain = w.simulate(config, jobs=1)
+    original = _engine.run_kernel
+    seeds = []
 
+    def counting(*args):
+        seeds.append(args[-2])
+        return original(*args)
 
-@needs_compiled
-@pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
-def test_compiled_kernel_bit_identical_to_python(case):
-    from wlansat.sim import _engine_c
-
-    args = ORACLE_CASES[case]
-    for seed in (7, 2**64 - 3):
-        a = _engine_c.run_kernel(*args, 100, 5000, seed, True)
-        b = _engine.run_kernel(*args, 100, 5000, seed, True)
-        assert a == b
-
-
-@needs_compiled
-def test_backends_agree_on_full_scenario():
-    # simulate aggregates whatever the kernel returns, so equal kernel outputs
-    # on every replication seed mean equal results on both backends
-    from wlansat.sim import _engine_c
-
-    config = w.SimConfig(triangle(4), duration=3.0, warmup=0.5, seed=99, replications=2)
-    args = _kernel_args(config)
-    for seed in derive_seeds(config.seed, config.replications):
-        assert _engine_c.run_kernel(*args, seed, False) == _engine.run_kernel(*args, seed, False)
+    monkeypatch.setattr(_engine, "run_kernel", counting)
+    traced = w.simulate(config, jobs=1)
+    assert seeds == derive_seeds(config.seed, config.replications)
+    assert traced == plain
 
 
 # --- physics sanity -----------------------------------------------------------------

@@ -324,15 +324,23 @@ def test_analyze_solves_gamma_once_per_key(monkeypatch):
         for i in w.state_members(s)
     }
     original = throughput.gamma_factor
+    original_solve = throughput.solve_fixed_point
     calls = []
+    solves = []
 
     def counting(wlan, predecessor, scenario, space):
         calls.append((wlan.id, predecessor))
         return original(wlan, predecessor, scenario, space)
 
+    def counting_solve(n_total, cw_min, m):
+        solves.append(n_total)
+        return original_solve(n_total, cw_min, m)
+
     monkeypatch.setattr(throughput, "gamma_factor", counting)
+    monkeypatch.setattr(throughput, "solve_fixed_point", counting_solve)
     report = w.analyze(scenario, space=space)
     assert len(calls) == len(keys) == 46
+    assert len(solves) == 46
     assert len(report.records) == 152
 
 
