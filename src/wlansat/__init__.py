@@ -48,7 +48,6 @@ from .scenario import (
 )
 from .sim import ProbeRecord, SimConfig, SimulationResult, kernel_backend, simulate
 from .throughput import (
-    Contribution,
     GammaRecord,
     ThroughputReport,
     analyze,
@@ -64,7 +63,6 @@ __all__ = [
     "BianchiPoint",
     "ConflictGraph",
     "ContractViolationError",
-    "Contribution",
     "FeasibleStateSpace",
     "GammaRecord",
     "InvalidParameterError",

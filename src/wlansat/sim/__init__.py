@@ -154,16 +154,11 @@ def simulate(
     else:
         outcomes = [_run_one(item) for item in work]
 
-    succ_total = [0] * n_wlans
-    coll_total = [0] * n_wlans
     state_total: dict[int, int] = {}
     probe_total: dict[tuple[int, int], list[int]] = {}
     rep_throughput: list[tuple[float, ...]] = []
     all_events = [] if record_events else None
-    for successes, collisions, state_slots, probe, events in outcomes:
-        for w in range(n_wlans):
-            succ_total[w] += successes[w]
-            coll_total[w] += collisions[w]
+    for successes, _collisions, state_slots, probe, events in outcomes:
         for mask, slots in state_slots.items():
             state_total[mask] = state_total.get(mask, 0) + slots
         for key, (attempts, colls, succ_slots) in probe.items():
@@ -184,11 +179,17 @@ def simulate(
         else:
             stderr[w] = 0.0
 
+    succ_total = dict.fromkeys(range(n_wlans), 0)
+    coll_total = dict.fromkeys(range(n_wlans), 0)
+    for (wlan, _pre_mask), (attempts, colls, _slots) in probe_total.items():
+        succ_total[wlan] += attempts - colls
+        coll_total[wlan] += colls
+
     return SimulationResult(
         throughput=mean,
         stderr=stderr,
-        successes={w: succ_total[w] for w in range(n_wlans)},
-        collisions={w: coll_total[w] for w in range(n_wlans)},
+        successes=succ_total,
+        collisions=coll_total,
         state_airtime={
             mask: slots / (measured_slots * reps) for mask, slots in sorted(state_total.items())
         },

@@ -87,7 +87,7 @@ def run_kernel(
 
     Returns ``(successes, collisions, state_slots, probe, events)`` where the
     first two are per-WLAN attempt counts started inside the measurement
-    window, ``state_slots`` maps each transmitting-WLAN bitmask to the slots it
+    window (summed from ``probe``), ``state_slots`` maps each transmitting-WLAN bitmask to the slots it
     was active within the window, ``probe`` maps ``(wlan, predecessor mask)``
     to ``[attempts, collisions, successful airtime in slots]``, and ``events``
     is ``None`` or a list of ``(start_slot, wlan, node, success, duration)``
@@ -105,8 +105,6 @@ def run_kernel(
     idle: list[list[tuple[int, int]]] = [[] for _ in range(n_wlans)]  # per WLAN: (target, node)
     on_air: list[tuple[int, int]] = []  # (end slot, node)
 
-    successes = [0] * n_wlans
-    collisions = [0] * n_wlans
     state_slots: dict[int, int] = {}
     probe: dict[tuple[int, int], list[int]] = {}
     events: list[tuple[int, int, int, bool, int]] | None = [] if record_events else None
@@ -187,14 +185,9 @@ def run_kernel(
             num_tx[w] += 1
             active_mask |= 1 << w
             if measured:
-                if ok:
-                    successes[w] += 1
-                else:
-                    collisions[w] += 1
                 rec = probe.get((w, pre_mask))
                 if rec is None:
-                    rec = [0, 0, 0]
-                    probe[(w, pre_mask)] = rec
+                    rec = probe[(w, pre_mask)] = [0, 0, 0]
                 rec[0] += 1
                 if ok:
                     rec[2] += d_succ
@@ -203,4 +196,9 @@ def run_kernel(
             if events is not None:
                 events.append((t, w, n, ok, dur))
 
+    successes = [0] * n_wlans
+    collisions = [0] * n_wlans
+    for (w, _pre_mask), (attempts, colls, _slots) in probe.items():
+        successes[w] += attempts - colls
+        collisions[w] += colls
     return successes, collisions, state_slots, probe, events

@@ -57,22 +57,16 @@ class GammaRecord:
 
 
 @dataclass(frozen=True)
-class Contribution:
-    """One additive throughput term: pi_s * (1 - gamma) * mu * L."""
-
-    wlan: int
-    state: int
-    pi: float
-    gamma: float
-    term: float
-
-
-@dataclass(frozen=True)
 class ThroughputReport:
-    """Full analysis output: per-WLAN totals plus their per-state breakdown."""
+    """Full analysis output: per-WLAN totals plus one record per transition.
+
+    ``records`` holds one :class:`GammaRecord` per (WLAN, predecessor)
+    transition, in summation order; the transition's additive term
+    ``pi_s * (1 - gamma) * mu * L`` is listed under ``contributions`` in
+    :meth:`to_json_dict`.
+    """
 
     per_wlan: dict[int, float]
-    contributions: tuple[Contribution, ...]
     records: tuple[GammaRecord, ...]
     mode: Literal["full", "dominant-only"]
     collisions: bool
@@ -85,6 +79,9 @@ class ThroughputReport:
 
     def to_json_dict(self) -> dict:
         """Machine-readable mirror of the report."""
+        params = self.stationary.space.scenario.params
+        mu_l = params.mu * params.l_bits
+        pis = [self.stationary.prob(r.state) for r in self.records]
         return {
             "mode": self.mode,
             "collisions": self.collisions,
@@ -92,13 +89,13 @@ class ThroughputReport:
             "per_wlan": {str(w): x for w, x in sorted(self.per_wlan.items())},
             "contributions": [
                 {
-                    "wlan": c.wlan,
-                    "state": list(state_members(c.state)),
-                    "pi": c.pi,
-                    "gamma": c.gamma,
-                    "term_bits_per_s": c.term,
+                    "wlan": r.wlan,
+                    "state": list(state_members(r.state)),
+                    "pi": pi,
+                    "gamma": r.gamma,
+                    "term_bits_per_s": pi * (1.0 - r.gamma) * mu_l,
                 }
-                for c in self.contributions
+                for r, pi in zip(self.records, pis)
             ],
             "gamma_records": [
                 {
@@ -155,37 +152,45 @@ def conditional_throughput(wlan: Wlan, k_nodes: int, params: PhyMacParams) -> fl
     return _renewal_throughput(point, wlan.n_nodes, params)
 
 
-def gamma_factor(
-    wlan: Wlan, predecessor: int, scenario: Scenario, space: FeasibleStateSpace
+def _local_record(
+    wlan: Wlan, predecessor: int, contenders: tuple[int, ...], scenario: Scenario
 ) -> GammaRecord:
-    """Collision discount for ``wlan`` entering from ``predecessor``.
+    """Collision-blind record: ``y`` is the local occupancy estimate, gamma is 0.
 
-    The local occupancy estimate restricts the chain to ``wlan`` and its
-    contenders (normalizer ``1 + theta_i + sum theta_j``); gamma is what must
-    be shaved off that estimate to match the slot-level throughput ``y``. For
-    a single node with no contenders both sides coincide and gamma is 0.
+    The local estimate restricts the chain to ``wlan`` and its ``contenders``
+    (normalizer ``1 + theta_i + sum theta_j``).
     """
-    contenders = contender_set(wlan.id, predecessor, space)
     params = scenario.params
-    k_nodes = sum(scenario.wlans[j].n_nodes for j in contenders)
-    point = solve_fixed_point(k_nodes + wlan.n_nodes, params.cw_min, params.m)
-    y = _renewal_throughput(point, wlan.n_nodes, params)
-
     theta_i = theta_of(wlan, params)
     local_z = 1.0 + theta_i + sum(theta_of(scenario.wlans[j], params) for j in contenders)
-    local_estimate = params.mu * params.l_bits * theta_i / local_z
-    gamma_raw = 1.0 - y / local_estimate
     return GammaRecord(
         wlan=wlan.id,
         state=predecessor | 1 << wlan.id,
         predecessor=predecessor,
         contenders=contenders,
-        k_nodes=k_nodes,
-        y=y,
-        gamma_raw=gamma_raw,
-        gamma=min(1.0, max(0.0, gamma_raw)),
-        p=point.p,
+        k_nodes=sum(scenario.wlans[j].n_nodes for j in contenders),
+        y=params.mu * params.l_bits * theta_i / local_z,
+        gamma_raw=0.0,
+        gamma=0.0,
+        p=0.0,
     )
+
+
+def gamma_factor(
+    wlan: Wlan, predecessor: int, scenario: Scenario, space: FeasibleStateSpace
+) -> GammaRecord:
+    """Collision discount for ``wlan`` entering from ``predecessor``.
+
+    Gamma is what must be shaved off the local occupancy estimate (see
+    :func:`_local_record`) to match the slot-level throughput ``y``. For a
+    single node with no contenders both sides coincide and gamma is 0.
+    """
+    local = _local_record(wlan, predecessor, contender_set(wlan.id, predecessor, space), scenario)
+    params = scenario.params
+    point = solve_fixed_point(local.k_nodes + wlan.n_nodes, params.cw_min, params.m)
+    y = _renewal_throughput(point, wlan.n_nodes, params)
+    gamma_raw = 1.0 - y / local.y
+    return replace(local, y=y, gamma_raw=gamma_raw, gamma=min(1.0, max(0.0, gamma_raw)), p=point.p)
 
 
 def dominant_closure(space: FeasibleStateSpace) -> set[int]:
@@ -220,8 +225,9 @@ def analyze(
         raise ContractViolationError(f"mode must be 'full' or 'dominant-only', got {mode!r}")
     if space is None:
         space = ctmc.enumerate_states(scenario)
-    thetas = scenario.thetas()
-    dist = ctmc.stationary_product_form(space, thetas)
+    elif space.scenario != scenario:
+        raise ContractViolationError("space must be enumerated from the analyzed scenario")
+    dist = ctmc.stationary_product_form(space, scenario.thetas())
     params = scenario.params
     mu_l = params.mu * params.l_bits
 
@@ -231,7 +237,6 @@ def analyze(
 
     neighbor_masks = [scenario.graph.neighbor_mask(j) for j in range(scenario.n_wlans)]
     by_key: dict[tuple[int, int], GammaRecord] = {}
-    contributions: list[Contribution] = []
     records: list[GammaRecord] = []
     terms: dict[int, list[float]] = {w.id: [] for w in scenario.wlans}
     for s in walk:
@@ -251,28 +256,13 @@ def analyze(
                 record = by_key[key] = gamma_factor(scenario.wlans[i], predecessor, scenario, space)
             else:
                 contenders = state_members(contender_mask)
-                local_z = 1.0 + thetas[i] + sum(thetas[j] for j in contenders)
-                record = by_key[key] = GammaRecord(
-                    wlan=i,
-                    state=s,
-                    predecessor=predecessor,
-                    contenders=contenders,
-                    k_nodes=sum(scenario.wlans[j].n_nodes for j in contenders),
-                    y=mu_l * thetas[i] / local_z,
-                    gamma_raw=0.0,
-                    gamma=0.0,
-                    p=0.0,
-                )
+                record = by_key[key] = _local_record(scenario.wlans[i], predecessor, contenders, scenario)
             records.append(record)
-            pi_s = dist.prob(s)
-            term = pi_s * (1.0 - record.gamma) * mu_l
-            contributions.append(Contribution(wlan=i, state=s, pi=pi_s, gamma=record.gamma, term=term))
-            terms[i].append(term)
+            terms[i].append(dist.prob(s) * (1.0 - record.gamma) * mu_l)
 
     per_wlan = {i: math.fsum(values) for i, values in terms.items()}
     return ThroughputReport(
         per_wlan=per_wlan,
-        contributions=tuple(contributions),
         records=tuple(records),
         mode=mode,
         collisions=collisions,

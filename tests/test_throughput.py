@@ -172,8 +172,9 @@ def test_throughput_never_exceeds_channel_capacity():
 
 def test_contributions_sum_to_totals():
     report = w.analyze(extended_path(16))
+    contributions = report.to_json_dict()["contributions"]
     for i, x in report.per_wlan.items():
-        total = math.fsum(c.term for c in report.contributions if c.wlan == i)
+        total = math.fsum(c["term_bits_per_s"] for c in contributions if c["wlan"] == i)
         assert abs(total - x) <= 1e-12 * max(1.0, x)
 
 
@@ -207,9 +208,9 @@ def test_dominant_mode_skips_isolated_singletons():
     # in the 5-WLAN layout the bare singletons {1}, {3}, {4} are neither
     # dominant nor predecessors of a dominant state
     report = w.analyze(extended_path(16), "dominant-only")
-    states_for_1 = {c.state for c in report.contributions if c.wlan == 1}
+    states_for_1 = {r.state for r in report.records if r.wlan == 1}
     assert 0b00010 not in states_for_1
-    full_states_for_1 = {c.state for c in w.analyze(extended_path(16)).contributions if c.wlan == 1}
+    full_states_for_1 = {r.state for r in w.analyze(extended_path(16)).records if r.wlan == 1}
     assert 0b00010 in full_states_for_1
 
 
@@ -218,7 +219,7 @@ def test_report_json_mirror_roundtrips():
     doc = report.to_json_dict()
     assert doc["mode"] == "full" and doc["collisions"] is True
     assert set(doc["per_wlan"]) == {"0", "1", "2"}
-    assert len(doc["contributions"]) == len(report.contributions)
+    assert len(doc["contributions"]) == len(report.records)
     assert len(doc["gamma_records"]) == len(report.records)
 
 
@@ -227,21 +228,27 @@ def test_analyze_rejects_unknown_mode():
         w.analyze(path3(), "fastest")
 
 
+def test_analyze_rejects_space_of_another_scenario():
+    with pytest.raises(ContractViolationError, match="space"):
+        w.analyze(path3(16), space=w.enumerate_states(path3(4)))
+
+
 # --- one gamma per (WLAN, contender set) ----------------------------------------
 
 
 def per_transition_analyze(scenario, mode, collisions):
     """``analyze`` without grouping: one ``gamma_factor`` call per transition.
 
-    Returns ``(per_wlan, records, contributions)`` built in the same order and
-    with the same arithmetic as ``analyze``.
+    Returns ``(per_wlan, records, terms)`` built in the same order and with the
+    same arithmetic as ``analyze``; ``terms`` maps each WLAN to its additive
+    terms in summation order.
     """
     space = w.enumerate_states(scenario)
     thetas = scenario.thetas()
     dist = w.stationary_product_form(space, thetas)
     mu_l = scenario.params.mu * scenario.params.l_bits
     wanted = throughput.dominant_closure(space) if mode == "dominant-only" else None
-    records, contributions = [], []
+    records = []
     terms = {wlan.id: [] for wlan in scenario.wlans}
     for s in space.states:
         if not s or (wanted is not None and s not in wanted):
@@ -265,12 +272,9 @@ def per_transition_analyze(scenario, mode, collisions):
                     p=0.0,
                 )
             records.append(record)
-            pi_s = dist.prob(s)
-            term = pi_s * (1.0 - record.gamma) * mu_l
-            contributions.append(w.Contribution(wlan=i, state=s, pi=pi_s, gamma=record.gamma, term=term))
-            terms[i].append(term)
+            terms[i].append(dist.prob(s) * (1.0 - record.gamma) * mu_l)
     per_wlan = {i: math.fsum(values) for i, values in terms.items()}
-    return per_wlan, tuple(records), tuple(contributions)
+    return per_wlan, tuple(records), terms
 
 
 def geometric(n_wlans, seed):
@@ -292,11 +296,13 @@ def grid3x3():
 
 
 def assert_matches_per_transition_reference(scenario, mode, collisions):
-    per_wlan, records, contributions = per_transition_analyze(scenario, mode, collisions)
+    per_wlan, records, terms = per_transition_analyze(scenario, mode, collisions)
     report = w.analyze(scenario, mode, collisions=collisions)
     assert report.per_wlan == per_wlan
     assert report.records == records
-    assert report.contributions == contributions
+    contributions = report.to_json_dict()["contributions"]
+    for i, wlan_terms in terms.items():
+        assert [c["term_bits_per_s"] for c in contributions if c["wlan"] == i] == wlan_terms
 
 
 @pytest.mark.parametrize("name", ["i", "ii", "iii"])
