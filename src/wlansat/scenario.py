@@ -16,6 +16,7 @@ quantities drive the state-occupancy model in :mod:`wlansat.ctmc`.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -73,6 +74,23 @@ class PhyMacParams:
             raise InvalidParameterError(f"m must be >= 0, got {self.m}")
         if self.m > MAX_STAGES:
             raise InvalidParameterError(f"m must be <= {MAX_STAGES}, got {self.m}")
+        # The rates derived from these fields, written in the fields' names, so
+        # an extreme but finite input is named here rather than surfacing as
+        # inf, 0 or an OverflowError in the model or the simulator.
+        try:
+            node_rate = 2.0 / ((self.cw_min - 1) * self.t_e)
+        except OverflowError:  # cw_min past float range
+            node_rate = 0.0
+        for what, value in (
+            ("mu = 1 / e_t", 1.0 / self.e_t),
+            ("mu * L = l_bits / e_t", self.mu * self.l_bits),
+            ("the access rate of one node, 2 / ((cw_min - 1) * t_e),", node_rate),
+            ("the theta of one node, 2 * e_t / ((cw_min - 1) * t_e),", node_rate / self.mu),
+            ("the success airtime in slots, e_t / t_e,", self.e_t / self.t_e),
+            ("the collision airtime in slots, e_tc / t_e,", self.e_tc / self.t_e),
+        ):
+            if not 0.0 < value < math.inf:
+                raise InvalidParameterError(f"{what} must be finite and > 0, got {value}")
 
     @property
     def mu(self) -> float:
@@ -185,6 +203,13 @@ class Scenario:
             raise InvalidParameterError(
                 f"graph covers {self.graph.n_wlans} wlans but scenario has {n}"
             )
+        for w in self.wlans:  # one node's theta is in range, so only n_nodes can overflow it
+            try:
+                theta = theta_of(w, self.params)
+            except OverflowError:  # n_nodes past float range
+                theta = math.inf
+            if theta == math.inf:
+                raise InvalidParameterError(f"wlans[{w.id}].n_nodes is too large: its theta overflows")
 
     @property
     def n_wlans(self) -> int:

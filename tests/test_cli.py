@@ -229,6 +229,35 @@ def test_infinite_param_exits_one_naming_field(tmp_path, capsys, key, field):
     assert code == 1 and f"{field} must be finite" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("key,value,field", [
+    ("l_bits", 1e308, "l_bits"),
+    ("e_t_s", 1e308, "e_t"),
+    ("e_t_s", 1e-320, "e_t"),
+    ("e_tc_s", 1e308, "e_tc"),
+    ("t_e_s", 1e-320, "t_e"),
+    ("t_e_s", 1e308, "t_e"),
+    ("cw_min", 10**400, "cw_min"),
+    ("n_nodes", 10**400, "n_nodes"),
+], ids=["l_bits-huge", "e_t-huge", "e_t-tiny", "e_tc-huge", "t_e-tiny", "t_e-huge", "cw_min-huge", "n_nodes-huge"])
+def test_extreme_finite_input_exits_one_naming_field(tmp_path, capsys, command, key, value, field):
+    # finite inputs whose derived rates over- or underflow a double
+    params = {"t_e_s": 9e-6, "e_t_s": 6.63e-3, "e_tc_s": 6.63e-3,
+              "cw_min": 32, "m": 5, "l_bits": 768000}
+    n_nodes = value if key == "n_nodes" else 1
+    if key != "n_nodes":
+        params[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "wlans": [{"id": 0, "n_nodes": n_nodes}, {"id": 1, "n_nodes": 1}],
+        "edges": [[0, 1]],
+        "params": params,
+    }))
+    code, out, err = run(capsys, command, str(bad))
+    assert code == 1 and out == ""
+    assert field in err
+
+
 def test_unknown_key_exits_one_naming_field(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
