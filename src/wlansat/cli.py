@@ -23,12 +23,20 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import ctmc, throughput
 from .bianchi import solve_fixed_point
 from .errors import InvalidParameterError, NumericalError, WlansatError
-from .scenario import Scenario, Wlan, load_scenario, with_cw_min, with_n_nodes
+from .scenario import (
+    ConflictGraph,
+    Scenario,
+    Wlan,
+    bundled_scenario,
+    load_scenario,
+    with_cw_min,
+    with_n_nodes,
+)
 from .sim import SimConfig, derive_seeds, simulate
 from .throughput import analyze
 
@@ -293,24 +301,13 @@ def _cmd_bianchi(args) -> int:
 def _cmd_gamma_curve(args) -> int:
     if args.n_max < 1:
         raise InvalidParameterError(f"n_max must be >= 1, got {args.n_max}")
-    if args.scenario is not None:
-        params = load_scenario(args.scenario).params
-    else:
-        from .scenario import PhyMacParams
-
-        params = PhyMacParams(
-            t_e=9e-6, e_t=6.63e-3, e_tc=6.63e-3, cw_min=32, m=5, l_bits=768000
-        )
+    params = (bundled_scenario("iii") if args.scenario is None else load_scenario(args.scenario)).params
     if args.cw_min is not None or args.m is not None:
-        from dataclasses import replace
-
         params = replace(
             params,
             cw_min=args.cw_min if args.cw_min is not None else params.cw_min,
             m=args.m if args.m is not None else params.m,
         )
-
-    from .scenario import ConflictGraph
 
     rows = []
     for n in range(1, args.n_max + 1):
@@ -390,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bianchi)
 
     p = sub.add_parser("gamma-curve", help="(p, gamma) vs node count for one WLAN")
-    p.add_argument("--scenario", default=None, help="take PHY/MAC parameters from this scenario")
+    p.add_argument("--scenario", default=None, help="take PHY/MAC parameters from this scenario (default: the bundled ones)")
     p.add_argument("--cw-min", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n-max", type=int, default=50, help="sweep n_nodes from 1 to this (default 50)")
