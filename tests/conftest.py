@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from wlansat import ConflictGraph, PhyMacParams, Scenario, Wlan
@@ -42,6 +44,13 @@ def extended_path(n_nodes=1, **overrides) -> Scenario:
 
 def single(n_nodes=1, **overrides) -> Scenario:
     return make_scenario(1, [], n_nodes, **overrides)
+
+
+def grid3x3() -> Scenario:
+    """9 APs on a square grid of spacing 1/3; each hears its grid neighbours."""
+    points = [(c / 3, r / 3) for r in range(3) for c in range(3)]
+    edges = [(a, b) for a in range(9) for b in range(a + 1, 9) if math.dist(points[a], points[b]) < 0.35]
+    return make_scenario(9, edges, n_nodes=4)
 
 
 @pytest.fixture

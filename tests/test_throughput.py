@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import wlansat as w
 from wlansat import ContractViolationError, throughput
 
-from conftest import extended_path, make_scenario, path3, single, triangle
+from conftest import extended_path, grid3x3, make_scenario, path3, single, triangle
 
 
 def spaces(scenario):
@@ -286,13 +286,6 @@ def geometric(n_wlans, seed):
         if math.dist(points[a], points[b]) < 0.4
     ]
     return make_scenario(n_wlans, edges, [rng.randint(1, 4) for _ in range(n_wlans)])
-
-
-def grid3x3():
-    """9 APs on a square grid of spacing 1/3; each hears its grid neighbours."""
-    points = [(c / 3, r / 3) for r in range(3) for c in range(3)]
-    edges = [(a, b) for a in range(9) for b in range(a + 1, 9) if math.dist(points[a], points[b]) < 0.35]
-    return make_scenario(9, edges, n_nodes=4)
 
 
 def assert_matches_per_transition_reference(scenario, mode, collisions):
