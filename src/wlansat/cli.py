@@ -28,15 +28,7 @@ from dataclasses import dataclass, replace
 from . import ctmc, throughput
 from .bianchi import solve_fixed_point
 from .errors import InvalidParameterError, NumericalError, WlansatError
-from .scenario import (
-    ConflictGraph,
-    Scenario,
-    Wlan,
-    bundled_scenario,
-    load_scenario,
-    with_cw_min,
-    with_n_nodes,
-)
+from .scenario import ConflictGraph, Scenario, Wlan, bundled_scenario, load_scenario, with_cw_min, with_n_nodes
 from .sim import SimConfig, derive_seeds, simulate
 from .throughput import analyze
 

@@ -74,20 +74,16 @@ class PhyMacParams:
             raise InvalidParameterError(f"m must be >= 0, got {self.m}")
         if self.m > MAX_STAGES:
             raise InvalidParameterError(f"m must be <= {MAX_STAGES}, got {self.m}")
-        # The rates derived from these fields, written in the fields' names, so
-        # an extreme but finite input is named here rather than surfacing as
-        # inf, 0 or an OverflowError in the model or the simulator.
-        try:
-            node_rate = 2.0 / ((self.cw_min - 1) * self.t_e)
-        except OverflowError:  # cw_min past float range
-            node_rate = 0.0
+        # derived rates, named by their formula, so an extreme finite input is
+        # reported here instead of as inf, 0 or an OverflowError downstream
+        node_rate = 2.0 / ((self.cw_min - 1) * self.t_e) if self.cw_min <= sys.float_info.max else 0.0
         for what, value in (
             ("mu = 1 / e_t", 1.0 / self.e_t),
             ("mu * L = l_bits / e_t", self.mu * self.l_bits),
-            ("the access rate of one node, 2 / ((cw_min - 1) * t_e),", node_rate),
-            ("the theta of one node, 2 * e_t / ((cw_min - 1) * t_e),", node_rate / self.mu),
-            ("the success airtime in slots, e_t / t_e,", self.e_t / self.t_e),
-            ("the collision airtime in slots, e_tc / t_e,", self.e_tc / self.t_e),
+            ("one node's access rate 2 / ((cw_min - 1) * t_e)", node_rate),
+            ("one node's theta 2 * e_t / ((cw_min - 1) * t_e)", node_rate / self.mu),
+            ("the success airtime in slots e_t / t_e", self.e_t / self.t_e),
+            ("the collision airtime in slots e_tc / t_e", self.e_tc / self.t_e),
         ):
             if not 0.0 < value < math.inf:
                 raise InvalidParameterError(f"{what} must be finite and > 0, got {value}")
@@ -204,11 +200,7 @@ class Scenario:
                 f"graph covers {self.graph.n_wlans} wlans but scenario has {n}"
             )
         for w in self.wlans:  # one node's theta is in range, so only n_nodes can overflow it
-            try:
-                theta = theta_of(w, self.params)
-            except OverflowError:  # n_nodes past float range
-                theta = math.inf
-            if theta == math.inf:
+            if w.n_nodes > sys.float_info.max or theta_of(w, self.params) == math.inf:
                 raise InvalidParameterError(f"wlans[{w.id}].n_nodes is too large: its theta overflows")
 
     @property

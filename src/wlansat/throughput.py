@@ -58,13 +58,9 @@ class GammaRecord:
 
 @dataclass(frozen=True)
 class ThroughputReport:
-    """Full analysis output: per-WLAN totals plus one record per transition.
-
-    ``records`` holds one :class:`GammaRecord` per (WLAN, predecessor)
-    transition, in summation order; the transition's additive term
-    ``pi_s * (1 - gamma) * mu * L`` is listed under ``contributions`` in
-    :meth:`to_json_dict`.
-    """
+    """Per-WLAN totals plus one :class:`GammaRecord` per transition, in summation
+    order; each transition's term ``pi_s * (1 - gamma) * mu * L`` is listed
+    under ``contributions`` in :meth:`to_json_dict`."""
 
     per_wlan: dict[int, float]
     records: tuple[GammaRecord, ...]
