@@ -87,11 +87,11 @@ def run_kernel(
 
     Returns ``(successes, collisions, state_slots, probe, events)`` where the
     first two are per-WLAN attempt counts started inside the measurement
-    window (summed from ``probe``), ``state_slots`` maps each transmitting-WLAN bitmask to the slots it
-    was active within the window, ``probe`` maps ``(wlan, predecessor mask)``
-    to ``[attempts, collisions, successful airtime in slots]``, and ``events``
-    is ``None`` or a list of ``(start_slot, wlan, node, success, duration)``
-    covering the whole run.
+    window (summed from ``probe``), ``state_slots`` maps each transmitting-WLAN
+    bitmask to the slots it was active within the window, ``probe`` maps
+    ``(wlan, predecessor mask)`` to ``[attempts, collisions, successful airtime
+    in slots]``, and ``events`` is ``None`` or a list of ``(start_slot, wlan,
+    node, success, duration)`` covering the whole run.
     """
     n_wlans = len(neigh_masks)
     rng = seed & _MASK64
@@ -187,7 +187,8 @@ def run_kernel(
             if measured:
                 rec = probe.get((w, pre_mask))
                 if rec is None:
-                    rec = probe[(w, pre_mask)] = [0, 0, 0]
+                    rec = [0, 0, 0]
+                    probe[(w, pre_mask)] = rec
                 rec[0] += 1
                 if ok:
                     rec[2] += d_succ
