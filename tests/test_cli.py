@@ -199,6 +199,32 @@ def test_gamma_curve_output(tmp_path, capsys):
     assert ps == sorted(ps)
 
 
+# --- output path ---------------------------------------------------------------------------
+
+
+def test_analyze_stdout_builds_no_file_output(capsys, monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("a file output was built on the stdout path")
+
+    monkeypatch.setattr(w.ThroughputReport, "to_json_dict", refuse)
+    code, out, _ = run(capsys, "analyze", "iii")
+    assert code == 0 and "wlan 4:" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "/no/such/file.json"),
+    ("simulate", "iii", "--duration", "inf"),
+    ("sweep", "iii", "--values", "4,x"),
+    ("states", "/no/such/file.json"),
+    ("gamma-curve", "--n-max", "0"),
+], ids=["analyze", "simulate", "sweep", "states", "gamma-curve"])
+def test_failed_command_creates_no_out_dir(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code, stdout, _ = run(capsys, *argv, "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert not out.exists()
+
+
 # --- failure modes ----------------------------------------------------------------------
 
 
