@@ -1,29 +1,34 @@
 """Command-line front end.
 
-Subcommands:
+Subcommands, and the files each one writes with ``--out DIR``:
 
-* ``analyze``     -- per-WLAN analytical throughput (CSV/JSON)
-* ``simulate``    -- run the CSMA/CA simulator (CSV, optional event log)
-* ``sweep``       -- repeat analysis/simulation over a parameter sweep
-* ``states``      -- dump the feasible-state space and its maximal states
-* ``bianchi``     -- solve one contention fixed point
-* ``gamma-curve`` -- (p, gamma) pairs for a growing single-WLAN node pool
+* ``analyze``     -- per-WLAN analytical throughput (analyze.csv, analyze_detail.csv, analyze.json)
+* ``simulate``    -- run the CSMA/CA simulator (simulate.csv)
+* ``sweep``       -- repeat analysis/simulation over a parameter sweep (sweep.csv)
+* ``states``      -- dump the feasible-state space and its maximal states (states.txt)
+* ``bianchi``     -- solve one contention fixed point (stdout only)
+* ``gamma-curve`` -- (p, gamma) pairs for a growing single-WLAN node pool (gamma_curve.csv)
 
-Exit codes: 0 success, 1 invalid input (message names the offending field or
-argument), 2 numerical failure. With ``--out DIR`` results are written as
-files inside ``DIR``; otherwise a readable summary goes to stdout. File output
-is deterministic: fixed row order and 6-significant-digit numbers.
+Each command returns its stdout text and its output files. Only :func:`main`
+emits them, once the command has succeeded: it prints the text, or with
+``--out DIR`` creates ``DIR`` and renders and writes the files there.
+``simulate --events FILE`` writes its event log either way. Exit codes: 0
+success, 1 invalid input (message names the offending field or argument), 2
+numerical failure. Output is deterministic: fixed row order, 6 significant
+digits, CRLF line ends in CSV files and LF on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import ctmc, throughput
 from .bianchi import solve_fixed_point
@@ -34,36 +39,8 @@ from .throughput import analyze
 
 _SWEEP_MODES = ("full", "dominant", "ctmc", "sim")
 
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One sweep request: which knob to turn, over which values, in which modes."""
-
-    scenario: Scenario
-    param: str  # "cw_min" or "n_nodes", applied uniformly to all WLANs
-    values: tuple[int, ...]
-    modes: tuple[str, ...]
-    fix_cw_max: bool = False
-
-    def __post_init__(self) -> None:
-        if self.param not in ("cw_min", "n_nodes"):
-            raise InvalidParameterError(f"param must be cw_min or n_nodes, got {self.param!r}")
-        if self.fix_cw_max and self.param != "cw_min":
-            raise InvalidParameterError(f"fix_cw_max applies only to param cw_min, got {self.param!r}")
-        if not self.values:
-            raise InvalidParameterError("values must not be empty")
-        if not self.modes:
-            raise InvalidParameterError("modes must not be empty")
-        for mode in self.modes:
-            if mode not in _SWEEP_MODES:
-                raise InvalidParameterError(f"modes entries must be in {_SWEEP_MODES}, got {mode!r}")
-        for value in self.values:
-            self.apply(value)  # every value must yield a valid scenario
-
-    def apply(self, value: int) -> Scenario:
-        if self.param == "cw_min":
-            return with_cw_min(self.scenario, value, fixed_cw_max=self.fix_cw_max)
-        return with_n_nodes(self.scenario, value)
+#: A command's stdout text and its output files (file name -> renders its text).
+Output = tuple[str, dict[str, Callable[[], str]]]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,12 +54,13 @@ def _fmt(value: float) -> str:
     return format(value, ".6g")
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+def _csv(header: list[str], rows: list[list], newline: str = "\r\n") -> str:
+    """One table as CSV text: CRLF line ends for files, ``"\n"`` for stdout."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=newline)
+    writer.writerow(header)
+    writer.writerows([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def _load(args) -> Scenario:
@@ -92,59 +70,43 @@ def _load(args) -> Scenario:
     return scenario
 
 
-def _x_header(mbps: bool) -> str:
-    return "x_mbps" if mbps else "x_bits_per_s"
-
-
-def _x_scale(mbps: bool) -> float:
-    return 1e-6 if mbps else 1.0
-
-
-def _outdir(args) -> str | None:
-    out = getattr(args, "out", None)
-    if out is not None:
-        os.makedirs(out, exist_ok=True)
-    return out
+def _x_unit(mbps: bool) -> tuple[str, float]:
+    """Throughput column name and the factor from bits/s to its unit."""
+    return ("x_mbps", 1e-6) if mbps else ("x_bits_per_s", 1.0)
 
 
 # --- analyze -----------------------------------------------------------------
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> Output:
     scenario = _load(args)
     mode = "dominant-only" if args.dominant else "full"
     report = analyze(scenario, mode, collisions=not args.no_collisions)
-    scale = _x_scale(args.mbps)
+    x_col, scale = _x_unit(args.mbps)
     label = report.mode_label()
 
     rows = [[w, report.per_wlan[w] * scale, label] for w in sorted(report.per_wlan)]
-    detail = [
-        [r.wlan, ctmc.format_state(r.state), report.stationary.prob(r.state),
-         r.gamma_raw, r.gamma, r.p, r.y]
-        for r in report.records
-    ]
-    out = _outdir(args)
-    if out is None:
-        print(f"mode: {label}   dominant mass: {_fmt(report.dominant_mass)}")
-        for w, x, _ in rows:
-            print(f"wlan {w}: {_fmt(x)} {_x_header(args.mbps)}")
-        return 0
-    _write_csv(os.path.join(out, "analyze.csv"), ["wlan_id", _x_header(args.mbps), "mode"], rows)
-    _write_csv(
-        os.path.join(out, "analyze_detail.csv"),
-        ["wlan_id", "state", "pi", "gamma_raw", "gamma", "p", "y_bits_per_s"],
-        detail,
-    )
-    with open(os.path.join(out, "analyze.json"), "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return 0
+    text = f"mode: {label}   dominant mass: {_fmt(report.dominant_mass)}\n"
+    text += "".join(f"wlan {w}: {_fmt(x)} {x_col}\n" for w, x, _ in rows)
+
+    def detail() -> str:  # one row per transition
+        header = ["wlan_id", "state", "pi", "gamma_raw", "gamma", "p", "y_bits_per_s"]
+        return _csv(header, [
+            [r.wlan, ctmc.format_state(r.state), report.stationary.prob(r.state), r.gamma_raw, r.gamma, r.p, r.y]
+            for r in report.records
+        ])
+
+    return text, {
+        "analyze.csv": lambda: _csv(["wlan_id", x_col, "mode"], rows),
+        "analyze_detail.csv": detail,
+        "analyze.json": lambda: json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
+    }
 
 
 # --- simulate ----------------------------------------------------------------
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> Output:
     scenario = _load(args)
     config = SimConfig(
         scenario=scenario,
@@ -154,7 +116,6 @@ def _cmd_simulate(args) -> int:
         replications=args.reps,
     )
     result = simulate(config, record_events=args.events is not None, jobs=args.jobs)
-    scale = _x_scale(args.mbps)
 
     if args.events is not None:
         with open(args.events, "w", encoding="utf-8") as fh:
@@ -162,23 +123,17 @@ def _cmd_simulate(args) -> int:
             for start, wlan, node, ok, dur in result.events[0]:
                 fh.write(f"{start},{wlan},{node},{'success' if ok else 'collision'},{dur}\n")
 
+    x_col, scale = _x_unit(args.mbps)
     rows = [
         [w, result.throughput[w] * scale, result.stderr[w] * scale,
          result.successes[w], result.collisions[w], "sim"]
         for w in sorted(result.throughput)
     ]
-    out = _outdir(args)
-    if out is None:
-        print(f"reps: {config.replications}   duration: {config.duration}s")
-        for w, x, se, s, c, _ in rows:
-            print(f"wlan {w}: {_fmt(x)} +- {_fmt(se)} {_x_header(args.mbps)} ({s} ok / {c} lost)")
-        return 0
-    _write_csv(
-        os.path.join(out, "simulate.csv"),
-        ["wlan_id", _x_header(args.mbps), "stderr", "successes", "collisions", "mode"],
-        rows,
+    text = f"reps: {config.replications}   duration: {config.duration}s\n"
+    text += "".join(
+        f"wlan {w}: {_fmt(x)} +- {_fmt(se)} {x_col} ({s} ok / {c} lost)\n" for w, x, se, s, c, _ in rows
     )
-    return 0
+    return text, {"simulate.csv": lambda: _csv(["wlan_id", x_col, "stderr", "successes", "collisions", "mode"], rows)}
 
 
 # --- sweep -------------------------------------------------------------------
@@ -203,7 +158,7 @@ def _sweep_point(packed):
     return rows
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> Output:
     if args.jobs < 1:
         raise InvalidParameterError(f"jobs must be an integer >= 1, got {args.jobs}")
     scenario = _load(args)
@@ -213,19 +168,24 @@ def _cmd_sweep(args) -> int:
         raise InvalidParameterError(
             f"--values must be a comma-separated integer list, got {args.values!r}"
         )
-    spec = SweepSpec(
-        scenario=scenario,
-        param=args.param,
-        values=values,
-        modes=tuple(m for m in args.modes.split(",") if m),
-        fix_cw_max=args.fix_cw_max,
-    )
+    modes = tuple(m for m in args.modes.split(",") if m)
+    if args.fix_cw_max and args.param != "cw_min":
+        raise InvalidParameterError(f"fix_cw_max applies only to param cw_min, got {args.param!r}")
+    for name, items in (("values", values), ("modes", modes)):
+        if not items:
+            raise InvalidParameterError(f"{name} must not be empty")
+    for mode in modes:
+        if mode not in _SWEEP_MODES:
+            raise InvalidParameterError(f"modes entries must be in {_SWEEP_MODES}, got {mode!r}")
+    # --param is cw_min or n_nodes (argparse choices); every value must yield a valid scenario
+    if args.param == "cw_min":
+        scenarios = [with_cw_min(scenario, value, fixed_cw_max=args.fix_cw_max) for value in values]
+    else:
+        scenarios = [with_n_nodes(scenario, value) for value in values]
 
-    seeds = derive_seeds(args.seed, len(spec.values))
     work = [
-        (spec.apply(value), spec.param, value, spec.modes,
-         args.duration, args.warmup, seeds[k], args.reps)
-        for k, value in enumerate(spec.values)
+        (point_scenario, args.param, value, modes, args.duration, args.warmup, seed, args.reps)
+        for point_scenario, value, seed in zip(scenarios, values, derive_seeds(args.seed, len(values)))
     ]
     if args.jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(work))) as pool:
@@ -233,27 +193,20 @@ def _cmd_sweep(args) -> int:
     else:
         chunks = [_sweep_point(item) for item in work]
 
-    scale = _x_scale(args.mbps)
+    x_col, scale = _x_unit(args.mbps)
     rows = [
         [param, value, w, mode, x * scale, se * scale]
         for chunk in chunks
         for param, value, w, mode, x, se in chunk
     ]
-    out = _outdir(args)
-    header = ["param", "value", "wlan_id", "mode", _x_header(args.mbps), "stderr"]
-    if out is None:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-        return 0
-    _write_csv(os.path.join(out, "sweep.csv"), header, rows)
-    return 0
+    header = ["param", "value", "wlan_id", "mode", x_col, "stderr"]
+    return _csv(header, rows, "\n"), {"sweep.csv": lambda: _csv(header, rows)}
 
 
 # --- states ------------------------------------------------------------------
 
 
-def _cmd_states(args) -> int:
+def _cmd_states(args) -> Output:
     scenario = _load(args)
     space = ctmc.enumerate_states(scenario)
     dominant = ctmc.dominant_states(space)
@@ -269,37 +222,26 @@ def _cmd_states(args) -> int:
         f"{_fmt(ctmc.occupancy_mass(dist, restricted))}"
     )
     text = "\n".join(lines) + "\n"
-    out = _outdir(args)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(os.path.join(out, "states.txt"), "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return 0
+    return text, {"states.txt": lambda: text}
 
 
 # --- bianchi -----------------------------------------------------------------
 
 
-def _cmd_bianchi(args) -> int:
+def _cmd_bianchi(args) -> Output:
     point = solve_fixed_point(args.n_total, args.cw_min, args.m)
-    print(f"n_total={point.n_total} tau={point.tau!r} p={point.p!r} e_b={point.e_b!r}")
-    return 0
+    return f"n_total={point.n_total} tau={point.tau!r} p={point.p!r} e_b={point.e_b!r}\n", {}
 
 
 # --- gamma-curve -------------------------------------------------------------
 
 
-def _cmd_gamma_curve(args) -> int:
+def _cmd_gamma_curve(args) -> Output:
     if args.n_max < 1:
         raise InvalidParameterError(f"n_max must be >= 1, got {args.n_max}")
     params = (bundled_scenario("iii") if args.scenario is None else load_scenario(args.scenario)).params
-    if args.cw_min is not None or args.m is not None:
-        params = replace(
-            params,
-            cw_min=args.cw_min if args.cw_min is not None else params.cw_min,
-            m=args.m if args.m is not None else params.m,
-        )
+    overrides = {"cw_min": args.cw_min, "m": args.m}
+    params = replace(params, **{k: v for k, v in overrides.items() if v is not None})
 
     rows = []
     for n in range(1, args.n_max + 1):
@@ -312,14 +254,7 @@ def _cmd_gamma_curve(args) -> int:
         rows.append([n, point.tau, record.p, point.e_b, record.gamma_raw, record.gamma])
 
     header = ["n_nodes", "tau", "p", "e_b", "gamma_raw", "gamma"]
-    out = _outdir(args)
-    if out is None:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-        return 0
-    _write_csv(os.path.join(out, "gamma_curve.csv"), header, rows)
-    return 0
+    return _csv(header, rows, "\n"), {"gamma_curve.csv": lambda: _csv(header, rows)}
 
 
 # --- wiring ------------------------------------------------------------------
@@ -390,19 +325,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text, files = args.func(args)
+        if getattr(args, "out", None) is None:
+            sys.stdout.write(text)
+        else:
+            os.makedirs(args.out, exist_ok=True)
+            for name, render in files.items():
+                with open(os.path.join(args.out, name), "w", newline="", encoding="utf-8") as fh:
+                    fh.write(render())
     except NumericalError as exc:
         print(f"wlansat: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except WlansatError as exc:
+    except (WlansatError, OSError) as exc:
         print(f"wlansat: error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"wlansat: error: {exc}", file=sys.stderr)
-        return 1
+    return 0
 
 
 if __name__ == "__main__":

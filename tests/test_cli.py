@@ -206,7 +206,8 @@ def test_analyze_stdout_builds_no_file_output(capsys, monkeypatch):
     def refuse(*_args):
         raise AssertionError("a file output was built on the stdout path")
 
-    monkeypatch.setattr(w.ThroughputReport, "to_json_dict", refuse)
+    monkeypatch.setattr(w.ThroughputReport, "to_json_dict", refuse)  # analyze.json
+    monkeypatch.setattr(w.ctmc, "format_state", refuse)  # analyze_detail.csv
     code, out, _ = run(capsys, "analyze", "iii")
     assert code == 0 and "wlan 4:" in out
 
