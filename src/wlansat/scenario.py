@@ -199,9 +199,14 @@ class Scenario:
             raise InvalidParameterError(
                 f"graph covers {self.graph.n_wlans} wlans but scenario has {n}"
             )
+        mu_l = self.params.mu * self.params.l_bits
         for w in self.wlans:  # one node's theta is in range, so only n_nodes can overflow it
             if w.n_nodes > sys.float_info.max or theta_of(w, self.params) == math.inf:
                 raise InvalidParameterError(f"wlans[{w.id}].n_nodes is too large: its theta overflows")
+            if mu_l * theta_of(w, self.params) == math.inf:  # the local estimate's numerator in throughput
+                raise InvalidParameterError(
+                    f"l_bits and wlans[{w.id}].n_nodes are too large together: mu * l_bits * theta overflows"
+                )
 
     @property
     def n_wlans(self) -> int:

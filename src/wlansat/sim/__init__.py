@@ -16,6 +16,12 @@ from ..scenario import PhyMacParams, Scenario
 from . import _engine
 from ._engine import derive_seeds
 
+#: Most nodes, summed over the WLANs, that one replication may simulate. The
+#: kernel holds about 120 bytes per node (tracemalloc peak of one replication
+#: at 5e4 to 4e5 nodes, CPython 3.11), so this keeps a replication near 1 GB;
+#: with ``jobs > 1`` every worker holds one.
+MAX_SIM_NODES = 8_000_000
+
 
 def kernel_backend() -> str:
     """Name of the simulation kernel: always ``"python"``."""
@@ -56,6 +62,14 @@ class SimConfig:
             raise InvalidParameterError(f"replications must be an integer >= 1, got {self.replications}")
         if not isinstance(self.seed, int):
             raise InvalidParameterError(f"seed must be an integer, got {self.seed!r}")
+        total = 0
+        for w in self.scenario.wlans:  # checked before the kernel lists one entry per node
+            total += w.n_nodes
+            if total > MAX_SIM_NODES:
+                raise InvalidParameterError(
+                    f"wlans[{w.id}].n_nodes is too large for the simulator: "
+                    f"at most {MAX_SIM_NODES} nodes in all WLANs together"
+                )
 
 
 @dataclass(frozen=True)
@@ -170,14 +184,23 @@ def simulate(
         if all_events is not None:
             all_events.append(tuple(events))
 
-    mean = {w: math.fsum(rep[w] for rep in rep_throughput) / reps for w in range(n_wlans)}
-    stderr = {}
-    for w in range(n_wlans):
-        if reps > 1:
-            var = math.fsum((rep[w] - mean[w]) ** 2 for rep in rep_throughput) / (reps - 1)
-            stderr[w] = math.sqrt(var / reps)
-        else:
-            stderr[w] = 0.0
+    try:
+        mean = {w: math.fsum(rep[w] for rep in rep_throughput) / reps for w in range(n_wlans)}
+        stderr = {}
+        for w in range(n_wlans):
+            if reps > 1:
+                var = math.fsum((rep[w] - mean[w]) ** 2 for rep in rep_throughput) / (reps - 1)
+                stderr[w] = math.sqrt(var / reps)
+            else:
+                stderr[w] = 0.0
+        finite = all(math.isfinite(x) for x in (*mean.values(), *stderr.values()))
+    except OverflowError:  # a square or a sum left double range
+        finite = False
+    if not finite:
+        raise InvalidParameterError(
+            f"l_bits is too large for the simulator: the throughput s * l_bits / T over "
+            f"{reps} replications or its standard error overflows, got l_bits={l_bits}"
+        )
 
     succ_total = dict.fromkeys(range(n_wlans), 0)
     coll_total = dict.fromkeys(range(n_wlans), 0)

@@ -285,6 +285,44 @@ def test_extreme_finite_input_exits_one_naming_field(tmp_path, capsys, command, 
     assert field in err
 
 
+def write_linked_pair(tmp_path, n_nodes=(16, 16), **params):
+    """Scenario file of 2 linked WLANs with the bundled parameters, some overridden."""
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({
+        "wlans": [{"id": k, "n_nodes": n} for k, n in enumerate(n_nodes)],
+        "edges": [[0, 1]],
+        "params": {"t_e_s": 9e-6, "e_t_s": 6.63e-3, "e_tc_s": 6.63e-3,
+                   "cw_min": 32, "m": 5, "l_bits": 768000, **params},
+    }))
+    return str(path)
+
+
+_SHORT_SIM = ("--duration", "3", "--warmup", "0.5", "--reps", "2")
+
+
+@pytest.mark.parametrize("argv,l_bits", [
+    (("analyze",), 1e306),  # mu * l_bits * theta overflows in the local estimate
+    (("simulate", *_SHORT_SIM), 1e306),
+    (("simulate", *_SHORT_SIM), 1e160),  # the squares in the standard error overflow
+], ids=["analyze-1e306", "simulate-1e306", "simulate-1e160"])
+def test_huge_l_bits_exits_one_naming_field(tmp_path, capsys, argv, l_bits):
+    code, out, err = run(capsys, argv[0], write_linked_pair(tmp_path, l_bits=l_bits), *argv[1:])
+    assert code == 1 and out == ""
+    assert "l_bits" in err
+
+
+@pytest.mark.parametrize("n_nodes", [10**12, 10**300], ids=["1e12", "1e300"])
+def test_simulator_node_cap_exits_one_naming_field(tmp_path, capsys, n_nodes):
+    code, out, err = run(capsys, "simulate", write_linked_pair(tmp_path, n_nodes=(1, n_nodes)))
+    assert code == 1 and out == ""
+    assert "wlans[1].n_nodes" in err
+
+
+def test_analyze_accepts_more_nodes_than_the_simulator(tmp_path, capsys):
+    code, out, _ = run(capsys, "analyze", write_linked_pair(tmp_path, n_nodes=(1, 10**12)))
+    assert code == 0 and "wlan 1:" in out
+
+
 def test_unknown_key_exits_one_naming_field(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

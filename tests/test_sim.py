@@ -285,6 +285,15 @@ def test_config_validation():
             w.SimConfig(single(), **{field: value})
 
 
+def test_config_caps_total_nodes_before_building_them():
+    # SimConfig only validates, so neither scenario's nodes are ever allocated
+    at_cap = make_scenario(2, [(0, 1)], n_nodes=[w.sim.MAX_SIM_NODES - 1, 1])
+    assert w.SimConfig(at_cap).scenario is at_cap
+    over = make_scenario(2, [(0, 1)], n_nodes=[w.sim.MAX_SIM_NODES, 1])
+    with pytest.raises(InvalidParameterError, match=r"wlans\[1\]\.n_nodes"):
+        w.SimConfig(over)
+
+
 def test_slot_durations_round_to_nearest():
     scenario = single()
     assert slot_durations(scenario.params) == (737, 737)
