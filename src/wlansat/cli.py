@@ -40,7 +40,7 @@ from .throughput import analyze
 _SWEEP_MODES = ("full", "dominant", "ctmc", "sim")
 
 #: A command's stdout text and its output files (file name -> renders its text).
-Output = tuple[str, dict[str, Callable[[], str]]]
+_Output = tuple[str, dict[str, Callable[[], str]]]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,7 +55,7 @@ def _fmt(value: float) -> str:
 
 
 def _csv(header: list[str], rows: list[list], newline: str = "\r\n") -> str:
-    """One table as CSV text: CRLF line ends for files, ``"\n"`` for stdout."""
+    """One table as CSV text: CRLF line ends for files, LF for stdout."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator=newline)
     writer.writerow(header)
@@ -78,7 +78,7 @@ def _x_unit(mbps: bool) -> tuple[str, float]:
 # --- analyze -----------------------------------------------------------------
 
 
-def _cmd_analyze(args) -> Output:
+def _cmd_analyze(args) -> _Output:
     scenario = _load(args)
     mode = "dominant-only" if args.dominant else "full"
     report = analyze(scenario, mode, collisions=not args.no_collisions)
@@ -106,7 +106,7 @@ def _cmd_analyze(args) -> Output:
 # --- simulate ----------------------------------------------------------------
 
 
-def _cmd_simulate(args) -> Output:
+def _cmd_simulate(args) -> _Output:
     scenario = _load(args)
     config = SimConfig(
         scenario=scenario,
@@ -158,7 +158,7 @@ def _sweep_point(packed):
     return rows
 
 
-def _cmd_sweep(args) -> Output:
+def _cmd_sweep(args) -> _Output:
     if args.jobs < 1:
         raise InvalidParameterError(f"jobs must be an integer >= 1, got {args.jobs}")
     scenario = _load(args)
@@ -206,7 +206,7 @@ def _cmd_sweep(args) -> Output:
 # --- states ------------------------------------------------------------------
 
 
-def _cmd_states(args) -> Output:
+def _cmd_states(args) -> _Output:
     scenario = _load(args)
     space = ctmc.enumerate_states(scenario)
     dominant = ctmc.dominant_states(space)
@@ -228,7 +228,7 @@ def _cmd_states(args) -> Output:
 # --- bianchi -----------------------------------------------------------------
 
 
-def _cmd_bianchi(args) -> Output:
+def _cmd_bianchi(args) -> _Output:
     point = solve_fixed_point(args.n_total, args.cw_min, args.m)
     return f"n_total={point.n_total} tau={point.tau!r} p={point.p!r} e_b={point.e_b!r}\n", {}
 
@@ -236,7 +236,7 @@ def _cmd_bianchi(args) -> Output:
 # --- gamma-curve -------------------------------------------------------------
 
 
-def _cmd_gamma_curve(args) -> Output:
+def _cmd_gamma_curve(args) -> _Output:
     if args.n_max < 1:
         raise InvalidParameterError(f"n_max must be >= 1, got {args.n_max}")
     params = (bundled_scenario("iii") if args.scenario is None else load_scenario(args.scenario)).params
@@ -325,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         text, files = args.func(args)
         if getattr(args, "out", None) is None:

@@ -259,6 +259,7 @@ def test_infinite_param_exits_one_naming_field(tmp_path, capsys, key, field):
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
 @pytest.mark.parametrize("key,value,field", [
     ("l_bits", 1e308, "l_bits"),
+    ("l_bits", 1e306, "l_bits"),  # mu * l_bits stays finite, mu * l_bits * theta does not
     ("e_t_s", 1e308, "e_t"),
     ("e_t_s", 1e-320, "e_t"),
     ("e_tc_s", 1e308, "e_tc"),
@@ -266,7 +267,7 @@ def test_infinite_param_exits_one_naming_field(tmp_path, capsys, key, field):
     ("t_e_s", 1e308, "t_e"),
     ("cw_min", 10**400, "cw_min"),
     ("n_nodes", 10**400, "n_nodes"),
-], ids=["l_bits-huge", "e_t-huge", "e_t-tiny", "e_tc-huge", "t_e-tiny", "t_e-huge", "cw_min-huge", "n_nodes-huge"])
+], ids=["l_bits-huge", "l_bits-times-theta", "e_t-huge", "e_t-tiny", "e_tc-huge", "t_e-tiny", "t_e-huge", "cw_min-huge", "n_nodes-huge"])
 def test_extreme_finite_input_exits_one_naming_field(tmp_path, capsys, command, key, value, field):
     # finite inputs whose derived rates over- or underflow a double
     params = {"t_e_s": 9e-6, "e_t_s": 6.63e-3, "e_tc_s": 6.63e-3,
@@ -297,18 +298,13 @@ def write_linked_pair(tmp_path, n_nodes=(16, 16), **params):
     return str(path)
 
 
-_SHORT_SIM = ("--duration", "3", "--warmup", "0.5", "--reps", "2")
-
-
-@pytest.mark.parametrize("argv,l_bits", [
-    (("analyze",), 1e306),  # mu * l_bits * theta overflows in the local estimate
-    (("simulate", *_SHORT_SIM), 1e306),
-    (("simulate", *_SHORT_SIM), 1e160),  # the squares in the standard error overflow
-], ids=["analyze-1e306", "simulate-1e306", "simulate-1e160"])
-def test_huge_l_bits_exits_one_naming_field(tmp_path, capsys, argv, l_bits):
-    code, out, err = run(capsys, argv[0], write_linked_pair(tmp_path, l_bits=l_bits), *argv[1:])
+def test_simulated_throughput_overflow_exits_one_naming_l_bits(tmp_path, capsys):
+    # analyze answers; the squares in the simulator's standard error overflow
+    path = write_linked_pair(tmp_path, l_bits=1e160)
+    code, out, err = run(capsys, "simulate", path, "--duration", "3", "--warmup", "0.5", "--reps", "2")
     assert code == 1 and out == ""
     assert "l_bits" in err
+    assert run(capsys, "analyze", path)[0] == 0
 
 
 @pytest.mark.parametrize("n_nodes", [10**12, 10**300], ids=["1e12", "1e300"])
