@@ -31,7 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from . import ctmc, throughput
-from .bianchi import solve_fixed_point
+from .bianchi import BianchiPoint, solve_fixed_point
 from .errors import InvalidParameterError, NumericalError, WlansatError
 from .scenario import ConflictGraph, Scenario, Wlan, bundled_scenario, load_scenario, with_cw_min, with_n_nodes
 from .sim import SimConfig, derive_seeds, simulate
@@ -244,13 +244,14 @@ def _cmd_gamma_curve(args) -> _Output:
     params = replace(params, **{k: v for k, v in overrides.items() if v is not None})
 
     rows = []
+    points: dict[int, BianchiPoint] = {}
     for n in range(1, args.n_max + 1):
         scenario = Scenario(
             wlans=(Wlan(id=0, n_nodes=n),), graph=ConflictGraph(1, []), params=params
         )
         space = ctmc.enumerate_states(scenario)
-        record = throughput.gamma_factor(scenario.wlans[0], 0, scenario, space)
-        point = solve_fixed_point(n, params.cw_min, params.m)
+        record = throughput.gamma_factor(scenario.wlans[0], 0, scenario, space, points=points)
+        point = points[n]
         rows.append([n, point.tau, record.p, point.e_b, record.gamma_raw, record.gamma])
 
     header = ["n_nodes", "tau", "p", "e_b", "gamma_raw", "gamma"]

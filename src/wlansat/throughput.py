@@ -15,6 +15,12 @@ Gamma depends on the transition only through the key ``(i, C)``, where the
 contender mask ``C = N(i) & ~s' & ~N(s')`` and ``N(s')`` is the union of the
 neighbor masks of the members of ``s'``. :func:`analyze` therefore solves one
 gamma per key and reuses it for every transition with that key.
+
+The fixed point itself depends on a key only through the pool size
+``k_nodes + n_i``, since ``cw_min`` and ``m`` are fixed for a scenario. Each
+:func:`analyze` call keeps a dict from pool size to :class:`BianchiPoint`,
+passed to :func:`gamma_factor` as ``points``, so it solves each pool size once
+per call; nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -173,17 +179,32 @@ def _local_record(
 
 
 def gamma_factor(
-    wlan: Wlan, predecessor: int, scenario: Scenario, space: FeasibleStateSpace
+    wlan: Wlan,
+    predecessor: int,
+    scenario: Scenario,
+    space: FeasibleStateSpace,
+    *,
+    points: dict[int, BianchiPoint] | None = None,
 ) -> GammaRecord:
     """Collision discount for ``wlan`` entering from ``predecessor``.
 
     Gamma is what must be shaved off the local occupancy estimate (see
     :func:`_local_record`) to match the slot-level throughput ``y``. For a
     single node with no contenders both sides coincide and gamma is 0.
+
+    ``points`` maps a pool size ``k_nodes + n_nodes`` to its solved fixed
+    point. A missing pool size is solved and stored there; without ``points``
+    the pool is solved afresh. Share one dict only between calls with the
+    same ``cw_min`` and ``m``, since it is keyed on the pool size alone.
     """
     local = _local_record(wlan, predecessor, contender_set(wlan.id, predecessor, space), scenario)
     params = scenario.params
-    point = solve_fixed_point(local.k_nodes + wlan.n_nodes, params.cw_min, params.m)
+    n_total = local.k_nodes + wlan.n_nodes
+    if points is None:
+        points = {}
+    if n_total not in points:
+        points[n_total] = solve_fixed_point(n_total, params.cw_min, params.m)
+    point = points[n_total]
     y = _renewal_throughput(point, wlan.n_nodes, params)
     gamma_raw = 1.0 - y / local.y
     return replace(local, y=y, gamma_raw=gamma_raw, gamma=min(1.0, max(0.0, gamma_raw)), p=point.p)
@@ -232,6 +253,7 @@ def analyze(
     walk = sorted(restricted, key=space.index.__getitem__) if mode == "dominant-only" else space.states
 
     neighbor_masks = [scenario.graph.neighbor_mask(j) for j in range(scenario.n_wlans)]
+    points: dict[int, BianchiPoint] = {}
     by_key: dict[tuple[int, int], GammaRecord] = {}
     records: list[GammaRecord] = []
     terms: dict[int, list[float]] = {w.id: [] for w in scenario.wlans}
@@ -249,7 +271,9 @@ def analyze(
             if record is not None:
                 record = replace(record, state=s, predecessor=predecessor)
             elif collisions:
-                record = by_key[key] = gamma_factor(scenario.wlans[i], predecessor, scenario, space)
+                record = by_key[key] = gamma_factor(
+                    scenario.wlans[i], predecessor, scenario, space, points=points
+                )
             else:
                 contenders = state_members(contender_mask)
                 record = by_key[key] = _local_record(scenario.wlans[i], predecessor, contenders, scenario)

@@ -36,7 +36,8 @@ def test_traced_analyze_counts(spans):
         report = throughput.analyze(grid3x3())
     metrics = tracer.layer_metrics(passes=1, speed=1.0)
     assert metrics["throughput.gamma_factor.calls"] == (46, "count")
-    assert metrics["bianchi.solve_fixed_point.calls"] == (46, "count")
+    # one solve per distinct pool size k_nodes + n_nodes
+    assert metrics["bianchi.solve_fixed_point.calls"] == (5, "count")
     assert metrics["throughput.transitions"] == (152, "count")
     assert len(report.records) == 152
 

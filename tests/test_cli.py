@@ -8,6 +8,7 @@ import json
 import pytest
 
 import wlansat as w
+from wlansat import bianchi, cli, throughput
 from wlansat.cli import main
 
 
@@ -197,6 +198,21 @@ def test_gamma_curve_output(tmp_path, capsys):
         assert float(row[5]) <= float(row[2]) + 1e-9  # gamma <= p along the curve
     ps = [float(r[2]) for r in rows[1:]]
     assert ps == sorted(ps)
+
+
+def test_gamma_curve_solves_each_row_once(capsys, monkeypatch):
+    original = bianchi.solve_fixed_point
+    solves = []
+
+    def counting(n_total, cw_min, m):
+        solves.append(n_total)
+        return original(n_total, cw_min, m)
+
+    for module in (bianchi, throughput, cli):
+        monkeypatch.setattr(module, "solve_fixed_point", counting)
+    code, _, _ = run(capsys, "gamma-curve", "--n-max", "8")
+    assert code == 0
+    assert solves == list(range(1, 9))
 
 
 # --- output path ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,9 +328,9 @@ def test_analyze_solves_gamma_once_per_key(monkeypatch):
     calls = []
     solves = []
 
-    def counting(wlan, predecessor, scenario, space):
+    def counting(wlan, predecessor, scenario, space, **kwargs):
         calls.append((wlan.id, predecessor))
-        return original(wlan, predecessor, scenario, space)
+        return original(wlan, predecessor, scenario, space, **kwargs)
 
     def counting_solve(n_total, cw_min, m):
         solves.append(n_total)
@@ -339,8 +340,26 @@ def test_analyze_solves_gamma_once_per_key(monkeypatch):
     monkeypatch.setattr(throughput, "solve_fixed_point", counting_solve)
     report = w.analyze(scenario, space=space)
     assert len(calls) == len(keys) == 46
-    assert len(solves) == 46
+    pool_sizes = {r.k_nodes + scenario.wlans[r.wlan].n_nodes for r in report.records}
+    assert len(solves) == len(pool_sizes) == 5
     assert len(report.records) == 152
+
+
+UNEQUAL = Path(__file__).resolve().parent / "golden" / "unequal.json"
+
+
+@pytest.mark.parametrize("load", [
+    lambda: w.bundled_scenario("iii"),
+    lambda: w.load_scenario(str(UNEQUAL)),  # WLANs of 1-16 nodes: equal pools from other mixes
+], ids=["iii", "unequal"])
+def test_analyze_keeps_no_pool_points_between_calls(load):
+    scenario = load()
+    later = w.with_cw_min(scenario, 16)
+    per_wlan, records, _ = per_transition_analyze(later, "full", True)
+    w.analyze(w.with_cw_min(scenario, 32))
+    report = w.analyze(later)
+    assert report.per_wlan == per_wlan
+    assert report.records == records
 
 
 @st.composite
