@@ -142,6 +142,7 @@ def _cmd_simulate(args) -> _Output:
 def _sweep_point(packed):
     scenario, param, value, modes, duration, warmup, seed, reps = packed
     rows = []
+    points: dict[int, BianchiPoint] = {}  # one scenario, so its analytic modes share the solves
     for mode in modes:
         if mode == "sim":
             result = simulate(SimConfig(scenario, duration, warmup, seed, reps))
@@ -152,6 +153,7 @@ def _sweep_point(packed):
                 scenario,
                 "dominant-only" if mode == "dominant" else "full",
                 collisions=mode != "ctmc",
+                points=points,
             )
             for w in sorted(report.per_wlan):
                 rows.append([param, value, w, report.mode_label(), report.per_wlan[w], 0.0])
@@ -174,6 +176,8 @@ def _cmd_sweep(args) -> _Output:
     for name, items in (("values", values), ("modes", modes)):
         if not items:
             raise InvalidParameterError(f"{name} must not be empty")
+        if len(set(items)) < len(items):  # a repeat would write two rows under one key
+            raise InvalidParameterError(f"{name} must not repeat an entry, got {','.join(map(str, items))}")
     for mode in modes:
         if mode not in _SWEEP_MODES:
             raise InvalidParameterError(f"modes entries must be in {_SWEEP_MODES}, got {mode!r}")

@@ -18,34 +18,74 @@ and a node's pending transmission is a target value on its WLAN's clock.
 Between transmission starts/ends nothing else can happen, so time jumps to the
 earliest pending end or target. No event scans all nodes: each WLAN keeps its
 idle nodes in a heap of ``(target, node)`` whose top is its minimum pending
-target, and the transmitting nodes sit in a heap of ``(end slot, node)``. So
-an event costs O(W) plus heap operations for the nodes that end or start.
+target, and the transmitting nodes sit in a heap of ``(end slot, node)``.
+
+Each event scans the WLANs that sense the channel idle once: the scan that
+finds the next event time also keeps the WLANs whose earliest target lands on
+it, and only those can start. The exception is an event whose ends free a
+WLAN. A node of that WLAN redraws its counter as its transmission ends, and a
+draw of 0 makes it transmit in that very slot, so every WLAN that senses idle
+after the ends is scanned again. So an event costs O(W) plus heap operations
+for the nodes that end or start.
 
 Node order is part of the result: nodes ending in the same slot redraw, and
-same-slot starters enter the probe and the event log, in increasing node
-index, as a slot-by-slot walk over the nodes would. Heap ties break on the
-node index, and starters from several WLANs are sorted.
+same-slot starters enter the event log, in increasing node index, as a
+slot-by-slot walk over the nodes would. Heap ties break on the node index, and
+the starters of several WLANs are sorted.
 
 RNG: SplitMix64 (Steele et al.), one named 64-bit stream per replication;
 draws map the next output onto [0, CW-1] by multiply-shift, so results are
-identical for identical seeds on every machine.
+identical for identical seeds on every machine. The generator is
+counter-based: output k of a stream at state s is mix(s + k * gamma mod 2^64).
+The kernel therefore draws blocks of 4,096 outputs with numpy ``uint64``
+arithmetic, which wraps like the masks in :func:`mix64`, and hands them to the
+loop as Python ints. The stream is the one that repeated :func:`mix64` calls
+give, which is what :func:`derive_seeds` and the test suite's stepwise oracle
+use.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import chain, count
+from operator import itemgetter
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment
+_BLOCK = 4096  # outputs drawn per numpy block
+_BLOCK_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)  # k * gamma mod 2^64
 _NEVER = float("inf")  # no pending end or target
 
 
 def mix64(state: int) -> tuple[int, int]:
     """One SplitMix64 step: returns (advanced state, 64-bit output)."""
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
+    state = (state + _GAMMA) & _MASK64
     z = state
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return state, z ^ (z >> 31)
+
+
+def _mix_block(state: int) -> list[int]:
+    """The ``_BLOCK`` outputs that ``mix64`` yields from ``state``, in order.
+
+    numpy's ``uint64`` array arithmetic wraps mod 2^64 like the masks above.
+    """
+    z = np.uint64(state) + _BLOCK_STEPS
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return (z ^ (z >> 31)).tolist()
+
+
+def _draws(state: int):
+    """Endless iterator over the outputs of repeated ``mix64`` calls from ``state``.
+
+    Block bases advance in Python ints, since numpy warns on scalar overflow.
+    """
+    bases = ((state + k * _BLOCK * _GAMMA) & _MASK64 for k in count())
+    return chain.from_iterable(map(_mix_block, bases))
 
 
 def derive_seeds(seed: int, count: int) -> list[int]:
@@ -94,7 +134,7 @@ def run_kernel(
     node, success, duration)`` covering the whole run.
     """
     n_wlans = len(neigh_masks)
-    rng = seed & _MASK64
+    draw = _draws(seed & _MASK64).__next__
 
     stage = [0] * len(node_wlan)
     tx_ok = [False] * len(node_wlan)
@@ -110,22 +150,26 @@ def run_kernel(
     events: list[tuple[int, int, int, bool, int]] | None = [] if record_events else None
 
     for n, w in enumerate(node_wlan):
-        rng, z = mix64(rng)
-        idle[w].append(((z * cw_min) >> 64, n))
+        idle[w].append(((draw() * cw_min) >> 64, n))
     for heap in idle:
         heapify(heap)
 
     t = 0
     while True:
-        # earliest end, or earliest target on the clock of a WLAN sensing idle
+        # earliest end, or earliest target on the clock of a WLAN sensing idle;
+        # ``due`` keeps the WLANs whose earliest target lands on ``t_next``
         t_next = on_air[0][0] if on_air else _NEVER
         free = idle_wlans[active_mask]
+        due = []
         for w in free:
             heap = idle[w]
             if heap:
                 cand = t + heap[0][0] - v[w]
                 if cand < t_next:
                     t_next = cand
+                    due = [w]
+                elif cand == t_next:
+                    due.append(w)
 
         lo = t if t > warmup_slot else warmup_slot
         if t_next >= end_slot:
@@ -143,6 +187,7 @@ def run_kernel(
         t = t_next
 
         # transmission ends first: they free the channel for slot t
+        pre_mask = active_mask
         while on_air and on_air[0][0] == t:
             n = heappop(on_air)[1]
             w = node_wlan[n]
@@ -150,52 +195,82 @@ def run_kernel(
             if not num_tx[w]:
                 active_mask &= ~(1 << w)
             stage[n] = 0 if tx_ok[n] else min(stage[n] + 1, m_stages)
-            rng = (rng + 0x9E3779B97F4A7C15) & _MASK64  # mix64, inlined
-            z = ((rng ^ (rng >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            z ^= z >> 31
-            heappush(idle[w], (v[w] + ((z * (cw_min << stage[n])) >> 64), n))
+            heappush(idle[w], (v[w] + ((draw() * (cw_min << stage[n])) >> 64), n))
 
-        # then simultaneous starts, judged against ongoing transmissions only
-        pre_mask = active_mask
-        groups = []
-        any_mask = 0
-        for w in idle_wlans[pre_mask]:
+        # then simultaneous starts, judged against ongoing transmissions only.
+        # If no end freed a WLAN, only the ``due`` WLANs can start; otherwise a
+        # node in a freed WLAN may have redrawn 0, so every idle WLAN is scanned
+        if active_mask != pre_mask:
+            pre_mask = active_mask
+            due = idle_wlans[pre_mask]
+        elif not due:
+            continue
+        sw = -1  # the first WLAN with starters, and its starting nodes
+        groups = None  # every (WLAN, starting nodes), once a second WLAN starts
+        for w in due:
             heap = idle[w]
-            if heap and heap[0][0] == v[w]:
+            vw = v[w]
+            if heap and heap[0][0] == vw:
                 group = [heappop(heap)[1]]
-                while heap and heap[0][0] == v[w]:
+                while heap and heap[0][0] == vw:
                     group.append(heappop(heap)[1])
-                groups.append((w, group))
-                any_mask |= 1 << w
-        if not groups:
+                if sw < 0:
+                    sw, starters = w, group
+                elif groups is None:
+                    groups = [(sw, starters), (w, group)]
+                else:
+                    groups.append((w, group))
+        if sw < 0:
             continue
 
-        starters = []
+        measured = warmup_slot <= t
+        if groups is None:  # one WLAN starts: it succeeds unless several of its nodes do
+            ok = len(starters) == 1
+            dur = d_succ if ok else d_coll
+            for n in starters:
+                heappush(on_air, (t + dur, n))
+                tx_ok[n] = ok
+            num_tx[sw] += len(starters)
+            active_mask |= 1 << sw
+            if measured:
+                rec = probe.get((sw, pre_mask))
+                if rec is None:
+                    rec = probe[(sw, pre_mask)] = [0, 0, 0]
+                rec[0] += len(starters)
+                if ok:
+                    rec[2] += d_succ
+                else:
+                    rec[1] += len(starters)
+            if events is not None:
+                events.extend((t, sw, n, ok, dur) for n in starters)
+            continue
+
+        # several WLANs start: the same steps per WLAN, with neighbours colliding
+        any_mask = 0
+        for w, _group in groups:
+            any_mask |= 1 << w
+        first_event = len(events) if events is not None else 0
         for w, group in groups:
             ok = len(group) == 1 and not (any_mask & neigh_masks[w] & ~(1 << w))
-            starters.extend((n, w, ok) for n in group)
-        if len(groups) > 1:
-            starters.sort()
-        measured = warmup_slot <= t
-        for n, w, ok in starters:
             dur = d_succ if ok else d_coll
-            heappush(on_air, (t + dur, n))
-            tx_ok[n] = ok
-            num_tx[w] += 1
+            for n in group:
+                heappush(on_air, (t + dur, n))
+                tx_ok[n] = ok
+            num_tx[w] += len(group)
             active_mask |= 1 << w
             if measured:
                 rec = probe.get((w, pre_mask))
                 if rec is None:
-                    rec = [0, 0, 0]
-                    probe[(w, pre_mask)] = rec
-                rec[0] += 1
+                    rec = probe[(w, pre_mask)] = [0, 0, 0]
+                rec[0] += len(group)
                 if ok:
                     rec[2] += d_succ
                 else:
-                    rec[1] += 1
+                    rec[1] += len(group)
             if events is not None:
-                events.append((t, w, n, ok, dur))
+                events.extend((t, w, n, ok, dur) for n in group)
+        if events is not None:  # same-slot starters are logged in node order
+            events[first_event:] = sorted(events[first_event:], key=itemgetter(2))
 
     successes = [0] * n_wlans
     collisions = [0] * n_wlans

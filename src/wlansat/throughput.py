@@ -20,7 +20,10 @@ The fixed point itself depends on a key only through the pool size
 ``k_nodes + n_i``, since ``cw_min`` and ``m`` are fixed for a scenario. Each
 :func:`analyze` call keeps a dict from pool size to :class:`BianchiPoint`,
 passed to :func:`gamma_factor` as ``points``, so it solves each pool size once
-per call; nothing is cached across calls.
+per call. A caller may pass its own dict to :func:`analyze` as ``points`` to
+share the solves between calls on one scenario, as ``wlansat sweep`` does for
+the analytic modes of one sweep point; nothing is cached across calls
+otherwise.
 """
 
 from __future__ import annotations
@@ -226,6 +229,7 @@ def analyze(
     *,
     collisions: bool = True,
     space: FeasibleStateSpace | None = None,
+    points: dict[int, BianchiPoint] | None = None,
 ) -> ThroughputReport:
     """Per-WLAN throughput for a scenario.
 
@@ -237,6 +241,12 @@ def analyze(
     With ``collisions=False`` every gamma is pinned to 0, which reproduces the
     raw occupancy-model throughput (the collision-blind reference curve); the
     recorded ``y`` is then the matching local estimate and ``p`` is 0.
+
+    ``points`` has the contract of :func:`gamma_factor`'s: it maps a pool size
+    to its solved fixed point, and the pool sizes this call solves are added
+    to it. Without it the call keeps its own dict. Pass one dict to several
+    calls only when their scenarios share ``cw_min`` and ``m``, as the modes of
+    one ``sweep`` point do.
     """
     if mode not in ("full", "dominant-only"):
         raise ContractViolationError(f"mode must be 'full' or 'dominant-only', got {mode!r}")
@@ -253,7 +263,8 @@ def analyze(
     walk = sorted(restricted, key=space.index.__getitem__) if mode == "dominant-only" else space.states
 
     neighbor_masks = [scenario.graph.neighbor_mask(j) for j in range(scenario.n_wlans)]
-    points: dict[int, BianchiPoint] = {}
+    if points is None:
+        points = {}
     by_key: dict[tuple[int, int], GammaRecord] = {}
     records: list[GammaRecord] = []
     terms: dict[int, list[float]] = {w.id: [] for w in scenario.wlans}

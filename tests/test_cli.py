@@ -185,6 +185,34 @@ def test_sweep_fix_cw_max(tmp_path, capsys):
     assert got == pytest.approx(expected.per_wlan[0], rel=1e-5)
 
 
+@pytest.mark.parametrize("field,argv", [
+    ("modes", ("--values", "32", "--modes", "full,sim,full")),
+    ("values", ("--values", "32,64,32", "--modes", "full,sim")),  # sim seeds follow position
+], ids=["modes", "values"])
+def test_sweep_rejects_a_repeated_entry(tmp_path, capsys, field, argv):
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "sweep", "iii", *argv, "--duration", "2", "--reps", "1", "--out", str(out))
+    assert code == 1 and field in err and stdout == ""
+    assert not out.exists()
+
+
+def test_sweep_point_solves_each_pool_size_once(capsys, monkeypatch):
+    # full, dominant and ctmc of one point share the fixed points of one scenario
+    scenario = w.bundled_scenario("iii")
+    pool_sizes = [r.k_nodes + scenario.wlans[r.wlan].n_nodes for r in w.analyze(scenario).records]
+    original = throughput.solve_fixed_point
+    solves = []
+
+    def counting(n_total, cw_min, m):
+        solves.append(n_total)
+        return original(n_total, cw_min, m)
+
+    monkeypatch.setattr(throughput, "solve_fixed_point", counting)
+    code, _, _ = run(capsys, "sweep", "iii", "--values", "32", "--modes", "full,dominant,ctmc")
+    assert code == 0
+    assert sorted(solves) == sorted(set(pool_sizes))
+
+
 # --- gamma-curve ----------------------------------------------------------------------
 
 

@@ -86,6 +86,11 @@ def stepwise_kernel(node_wlan, neigh_masks, cw_min, m_stages, d_succ, d_coll,
     return successes, collisions, state_slots, probe, events
 
 
+RING12 = [1 << i | 1 << (i - 1) % 12 | 1 << (i + 1) % 12 for i in range(12)]
+for a, b in ((0, 6), (3, 9)):
+    RING12[a] |= 1 << b
+    RING12[b] |= 1 << a
+
 ORACLE_CASES = [
     ([0, 0, 1, 1, 2, 2], [0b011, 0b111, 0b110], 8, 2, 20, 20),
     ([0, 1, 2], [0b111, 0b111, 0b111], 4, 5, 15, 11),
@@ -97,6 +102,11 @@ ORACLE_CASES = [
     ([2, 0, 1, 0, 2, 1, 1], [0b011, 0b111, 0b110], 4, 3, 12, 9),
     ([3, 1, 0, 3, 2, 3, 1, 3, 0, 3], [0b0011, 0b1111, 0b0110, 0b1010], 8, 2, 10, 10),
     ([1, 0, 2, 1, 0, 2, 1, 0], [0b111, 0b111, 0b111], 2, 0, 7, 7),
+    # window 2, stage 0: half of all redraws are 0, and a node whose end frees
+    # its WLAN (or whose WLAN is freed later) must start in that end's slot
+    ([0, 1, 2], [0b011, 0b111, 0b110], 2, 0, 5, 3),
+    # 12 WLANs on a ring with two chords, nodes interleaved across WLANs
+    ([(7 * k) % 12 for k in range(24)], RING12, 4, 3, 6, 4),
 ]
 
 
@@ -106,6 +116,16 @@ def test_event_kernel_matches_stepwise_oracle(case, seed):
     args = ORACLE_CASES[case]
     expected = stepwise_kernel(*args, 100, 5000, seed, True)
     assert _engine.run_kernel(*args, 100, 5000, seed, True) == expected
+
+
+@pytest.mark.parametrize("seed", [1, 99, 2**64 - 1])
+def test_event_kernel_matches_stepwise_oracle_across_draw_blocks(seed):
+    # short airtimes over 20,000 slots take more than two of the kernel's
+    # 4,096-output draw blocks; seed 2**64 - 1 wraps the stream state at once
+    args = ([0, 1, 2, 0, 1, 2], [0b011, 0b111, 0b110], 4, 2, 2, 1)
+    expected = stepwise_kernel(*args, 10, 20_000, seed, True)
+    assert len(expected[4]) > 2 * 4096  # at least one draw per transmission
+    assert _engine.run_kernel(*args, 10, 20_000, seed, True) == expected
 
 
 def test_simulate_looks_up_the_kernel_at_each_replication(monkeypatch):

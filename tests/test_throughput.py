@@ -362,6 +362,22 @@ def test_analyze_keeps_no_pool_points_between_calls(load):
     assert report.records == records
 
 
+@pytest.mark.parametrize("load", [
+    lambda: w.bundled_scenario("iii"),
+    lambda: w.load_scenario(str(UNEQUAL)),
+], ids=["iii", "unequal"])
+def test_analyze_with_shared_points_equals_fresh_calls(load):
+    scenario = load()
+    points = {}
+    for mode, collisions in (("full", True), ("dominant-only", True), ("full", False)):
+        shared = w.analyze(scenario, mode, collisions=collisions, points=points)
+        fresh = w.analyze(scenario, mode, collisions=collisions)
+        assert shared.per_wlan == fresh.per_wlan
+        assert shared.records == fresh.records
+        assert shared.dominant_mass == fresh.dominant_mass
+    assert points  # the first call filled the dict the others read
+
+
 @st.composite
 def small_scenarios(draw):
     n = draw(st.integers(1, 8))
