@@ -142,7 +142,7 @@ def _cmd_simulate(args) -> _Output:
 def _sweep_point(packed):
     scenario, param, value, modes, duration, warmup, seed, reps = packed
     rows = []
-    points: dict[int, BianchiPoint] = {}  # one scenario, so its analytic modes share the solves
+    points: dict[tuple[int, int, int], BianchiPoint] = {}  # the analytic modes share the solves
     for mode in modes:
         if mode == "sim":
             result = simulate(SimConfig(scenario, duration, warmup, seed, reps))
@@ -248,14 +248,14 @@ def _cmd_gamma_curve(args) -> _Output:
     params = replace(params, **{k: v for k, v in overrides.items() if v is not None})
 
     rows = []
-    points: dict[int, BianchiPoint] = {}
+    points: dict[tuple[int, int, int], BianchiPoint] = {}
     for n in range(1, args.n_max + 1):
         scenario = Scenario(
             wlans=(Wlan(id=0, n_nodes=n),), graph=ConflictGraph(1, []), params=params
         )
         space = ctmc.enumerate_states(scenario)
         record = throughput.gamma_factor(scenario.wlans[0], 0, scenario, space, points=points)
-        point = points[n]
+        point = points[(n, params.cw_min, params.m)]
         rows.append([n, point.tau, record.p, point.e_b, record.gamma_raw, record.gamma])
 
     header = ["n_nodes", "tau", "p", "e_b", "gamma_raw", "gamma"]

@@ -39,15 +39,15 @@ identical for identical seeds on every machine. The generator is
 counter-based: output k of a stream at state s is mix(s + k * gamma mod 2^64).
 The kernel therefore draws blocks of 4,096 outputs with numpy ``uint64``
 arithmetic, which wraps like the masks in :func:`mix64`, and hands them to the
-loop as Python ints. The stream is the one that repeated :func:`mix64` calls
-give, which is what :func:`derive_seeds` and the test suite's stepwise oracle
-use.
+loop as Python ints; :func:`derive_seeds` reads the same blocks. The stream
+is the one that repeated :func:`mix64` calls give, and :func:`mix64` stays as
+the one-step reference that the test suite's stepwise oracle draws through.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import chain, count
+from itertools import chain, count, islice
 from operator import itemgetter
 
 import numpy as np
@@ -90,12 +90,7 @@ def _draws(state: int):
 
 def derive_seeds(seed: int, count: int) -> list[int]:
     """Per-replication kernel seeds: successive outputs of a master stream."""
-    state = seed & _MASK64
-    out = []
-    for _ in range(count):
-        state, z = mix64(state)
-        out.append(z)
-    return out
+    return list(islice(_draws(seed & _MASK64), count))
 
 
 class _IdleWlans(dict):
@@ -132,6 +127,11 @@ def run_kernel(
     ``(wlan, predecessor mask)`` to ``[attempts, collisions, successful airtime
     in slots]``, and ``events`` is ``None`` or a list of ``(start_slot, wlan,
     node, success, duration)`` covering the whole run.
+
+    Every ``neigh_masks[w]`` must contain bit ``w`` (a closed neighbourhood,
+    as ``_kernel_args`` builds it): the start phase takes a WLAN with a node
+    on air to sense the channel busy, and so looks for starters only among
+    the ``due`` WLANs when no end changed the transmitting mask.
     """
     n_wlans = len(neigh_masks)
     draw = _draws(seed & _MASK64).__next__
@@ -205,8 +205,8 @@ def run_kernel(
             due = idle_wlans[pre_mask]
         elif not due:
             continue
-        sw = -1  # the first WLAN with starters, and its starting nodes
-        groups = None  # every (WLAN, starting nodes), once a second WLAN starts
+        groups = []  # (WLAN, its starting nodes)
+        any_mask = 0  # WLANs with starters
         for w in due:
             heap = idle[w]
             vw = v[w]
@@ -214,41 +214,12 @@ def run_kernel(
                 group = [heappop(heap)[1]]
                 while heap and heap[0][0] == vw:
                     group.append(heappop(heap)[1])
-                if sw < 0:
-                    sw, starters = w, group
-                elif groups is None:
-                    groups = [(sw, starters), (w, group)]
-                else:
-                    groups.append((w, group))
-        if sw < 0:
+                groups.append((w, group))
+                any_mask |= 1 << w
+        if not groups:
             continue
 
         measured = warmup_slot <= t
-        if groups is None:  # one WLAN starts: it succeeds unless several of its nodes do
-            ok = len(starters) == 1
-            dur = d_succ if ok else d_coll
-            for n in starters:
-                heappush(on_air, (t + dur, n))
-                tx_ok[n] = ok
-            num_tx[sw] += len(starters)
-            active_mask |= 1 << sw
-            if measured:
-                rec = probe.get((sw, pre_mask))
-                if rec is None:
-                    rec = probe[(sw, pre_mask)] = [0, 0, 0]
-                rec[0] += len(starters)
-                if ok:
-                    rec[2] += d_succ
-                else:
-                    rec[1] += len(starters)
-            if events is not None:
-                events.extend((t, sw, n, ok, dur) for n in starters)
-            continue
-
-        # several WLANs start: the same steps per WLAN, with neighbours colliding
-        any_mask = 0
-        for w, _group in groups:
-            any_mask |= 1 << w
         first_event = len(events) if events is not None else 0
         for w, group in groups:
             ok = len(group) == 1 and not (any_mask & neigh_masks[w] & ~(1 << w))
@@ -269,7 +240,7 @@ def run_kernel(
                     rec[1] += len(group)
             if events is not None:
                 events.extend((t, w, n, ok, dur) for n in group)
-        if events is not None:  # same-slot starters are logged in node order
+        if events is not None and len(groups) > 1:  # same-slot starters are logged in node order
             events[first_event:] = sorted(events[first_event:], key=itemgetter(2))
 
     successes = [0] * n_wlans

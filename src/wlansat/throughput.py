@@ -18,12 +18,13 @@ gamma per key and reuses it for every transition with that key.
 
 The fixed point itself depends on a key only through the pool size
 ``k_nodes + n_i``, since ``cw_min`` and ``m`` are fixed for a scenario. Each
-:func:`analyze` call keeps a dict from pool size to :class:`BianchiPoint`,
-passed to :func:`gamma_factor` as ``points``, so it solves each pool size once
-per call. A caller may pass its own dict to :func:`analyze` as ``points`` to
-share the solves between calls on one scenario, as ``wlansat sweep`` does for
-the analytic modes of one sweep point; nothing is cached across calls
-otherwise.
+:func:`analyze` call keeps a dict from ``(pool size, cw_min, m)`` to
+:class:`BianchiPoint`, passed to :func:`gamma_factor` as ``points``, so it
+solves each pool size once per call. A caller may pass its own dict to
+:func:`analyze` as ``points`` to share the solves between calls, as
+``wlansat sweep`` does for the analytic modes of one sweep point; the key
+holds ``cw_min`` and ``m``, so a dict shared across scenarios that differ in
+them stays correct. Nothing is cached across calls otherwise.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def gamma_factor(
     scenario: Scenario,
     space: FeasibleStateSpace,
     *,
-    points: dict[int, BianchiPoint] | None = None,
+    points: dict[tuple[int, int, int], BianchiPoint] | None = None,
 ) -> GammaRecord:
     """Collision discount for ``wlan`` entering from ``predecessor``.
 
@@ -195,19 +196,19 @@ def gamma_factor(
     :func:`_local_record`) to match the slot-level throughput ``y``. For a
     single node with no contenders both sides coincide and gamma is 0.
 
-    ``points`` maps a pool size ``k_nodes + n_nodes`` to its solved fixed
-    point. A missing pool size is solved and stored there; without ``points``
-    the pool is solved afresh. Share one dict only between calls with the
-    same ``cw_min`` and ``m``, since it is keyed on the pool size alone.
+    ``points`` maps ``(k_nodes + n_nodes, cw_min, m)`` to the solved fixed
+    point of that pool. A missing key is solved and stored there; without
+    ``points`` the pool is solved afresh.
     """
     local = _local_record(wlan, predecessor, contender_set(wlan.id, predecessor, space), scenario)
     params = scenario.params
     n_total = local.k_nodes + wlan.n_nodes
     if points is None:
         points = {}
-    if n_total not in points:
-        points[n_total] = solve_fixed_point(n_total, params.cw_min, params.m)
-    point = points[n_total]
+    key = (n_total, params.cw_min, params.m)
+    point = points.get(key)
+    if point is None:
+        point = points[key] = solve_fixed_point(*key)
     y = _renewal_throughput(point, wlan.n_nodes, params)
     gamma_raw = 1.0 - y / local.y
     return replace(local, y=y, gamma_raw=gamma_raw, gamma=min(1.0, max(0.0, gamma_raw)), p=point.p)
@@ -229,7 +230,7 @@ def analyze(
     *,
     collisions: bool = True,
     space: FeasibleStateSpace | None = None,
-    points: dict[int, BianchiPoint] | None = None,
+    points: dict[tuple[int, int, int], BianchiPoint] | None = None,
 ) -> ThroughputReport:
     """Per-WLAN throughput for a scenario.
 
@@ -242,11 +243,9 @@ def analyze(
     raw occupancy-model throughput (the collision-blind reference curve); the
     recorded ``y`` is then the matching local estimate and ``p`` is 0.
 
-    ``points`` has the contract of :func:`gamma_factor`'s: it maps a pool size
-    to its solved fixed point, and the pool sizes this call solves are added
-    to it. Without it the call keeps its own dict. Pass one dict to several
-    calls only when their scenarios share ``cw_min`` and ``m``, as the modes of
-    one ``sweep`` point do.
+    ``points`` has the contract of :func:`gamma_factor`'s: it maps
+    ``(pool size, cw_min, m)`` to the solved fixed point, and the pools this
+    call solves are added to it. Without it the call keeps its own dict.
     """
     if mode not in ("full", "dominant-only"):
         raise ContractViolationError(f"mode must be 'full' or 'dominant-only', got {mode!r}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -376,6 +377,23 @@ def test_analyze_with_shared_points_equals_fresh_calls(load):
         assert shared.records == fresh.records
         assert shared.dominant_mass == fresh.dominant_mass
     assert points  # the first call filled the dict the others read
+
+
+@pytest.mark.parametrize("load", [
+    lambda: w.bundled_scenario("iii"),
+    lambda: w.load_scenario(str(UNEQUAL)),
+], ids=["iii", "unequal"])
+def test_analyze_shares_points_across_cw_min_and_m(load):
+    # equal pool sizes under another cw_min or m must not reuse each other's fixed point
+    scenario = load()
+    points = {}
+    for cw_min, m in ((32, 5), (16, 5), (16, 3)):
+        varied = replace(scenario, params=replace(scenario.params, cw_min=cw_min, m=m))
+        shared = w.analyze(varied, points=points)
+        fresh = w.analyze(varied)
+        assert shared.per_wlan == fresh.per_wlan
+        assert shared.records == fresh.records
+    assert {key[1:] for key in points} == {(32, 5), (16, 5), (16, 3)}
 
 
 @st.composite
