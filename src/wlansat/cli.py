@@ -27,14 +27,13 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from . import ctmc, throughput
 from .bianchi import BianchiPoint, solve_fixed_point
 from .errors import InvalidParameterError, NumericalError, WlansatError
 from .scenario import ConflictGraph, Scenario, Wlan, bundled_scenario, load_scenario, with_cw_min, with_n_nodes
-from .sim import SimConfig, derive_seeds, simulate
+from .sim import SimConfig, derive_seeds, fan_out, simulate
 from .throughput import analyze
 
 _SWEEP_MODES = ("full", "dominant", "ctmc", "sim")
@@ -161,8 +160,6 @@ def _sweep_point(packed):
 
 
 def _cmd_sweep(args) -> _Output:
-    if args.jobs < 1:
-        raise InvalidParameterError(f"jobs must be an integer >= 1, got {args.jobs}")
     scenario = _load(args)
     try:
         values = tuple(int(v) for v in args.values.split(",") if v)
@@ -191,11 +188,7 @@ def _cmd_sweep(args) -> _Output:
         (point_scenario, args.param, value, modes, args.duration, args.warmup, seed, args.reps)
         for point_scenario, value, seed in zip(scenarios, values, derive_seeds(args.seed, len(values)))
     ]
-    if args.jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(work))) as pool:
-            chunks = list(pool.map(_sweep_point, work))
-    else:
-        chunks = [_sweep_point(item) for item in work]
+    chunks = fan_out(_sweep_point, work, args.jobs)
 
     x_col, scale = _x_unit(args.mbps)
     rows = [

@@ -81,6 +81,11 @@ class StationaryDistribution:
     space: FeasibleStateSpace
     pi: np.ndarray = field(repr=False)
 
+    def __eq__(self, other: object) -> bool:  # numpy's == on ``pi`` is elementwise
+        if not isinstance(other, StationaryDistribution):
+            return NotImplemented
+        return self.space == other.space and np.array_equal(self.pi, other.pi)
+
     def prob(self, mask: int) -> float:
         k = self.space.index.get(mask)
         if k is None:

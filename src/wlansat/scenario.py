@@ -18,9 +18,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import Iterable, Mapping
+from typing import AbstractSet, Mapping
 
 from .errors import InvalidParameterError, StateSpaceTooLargeError
 
@@ -55,14 +55,14 @@ class PhyMacParams:
     l_bits: float
 
     def __post_init__(self) -> None:
-        for field in ("t_e", "e_t", "e_tc", "l_bits"):
-            value = getattr(self, field)
+        for name in ("t_e", "e_t", "e_tc", "l_bits"):
+            value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise InvalidParameterError(f"{field} must be a number, got {value!r}")
+                raise InvalidParameterError(f"{name} must be a number, got {value!r}")
             if not value > 0:
-                raise InvalidParameterError(f"{field} must be > 0, got {value}")
+                raise InvalidParameterError(f"{name} must be > 0, got {value}")
             if not value <= sys.float_info.max:  # inf, or an int past float range
-                raise InvalidParameterError(f"{field} must be finite, got {value}")
+                raise InvalidParameterError(f"{name} must be finite, got {value}")
         if not isinstance(self.cw_min, int) or isinstance(self.cw_min, bool):
             raise InvalidParameterError(f"cw_min must be an integer, got {self.cw_min!r}")
         if self.cw_min < 2:
@@ -112,15 +112,27 @@ class Wlan:
             raise InvalidParameterError(f"n_nodes must be an integer >= 1, got {self.n_nodes!r}")
 
 
+@dataclass(frozen=True)
 class ConflictGraph:
-    """Undirected overlap graph over WLAN ids, stored as adjacency bitmasks."""
+    """Undirected overlap graph over WLAN ids, stored as adjacency bitmasks.
 
-    def __init__(self, n_wlans: int, edges: Iterable[tuple[int, int]]):
+    ``edges`` takes any iterable of id pairs and keeps them as sorted (low,
+    high) pairs, deduplicated.
+    """
+
+    n_wlans: int
+    edges: tuple[tuple[int, int], ...]
+    masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        n_wlans = self.n_wlans
+        if not isinstance(n_wlans, int) or isinstance(n_wlans, bool):
+            raise InvalidParameterError(f"n_wlans must be an integer, got {n_wlans!r}")
         if n_wlans < 1:
             raise InvalidParameterError(f"n_wlans must be >= 1, got {n_wlans}")
         masks = [0] * n_wlans
         normalized = set()
-        for edge in edges:
+        for edge in self.edges:
             try:
                 a, b = edge
             except (TypeError, ValueError):
@@ -136,43 +148,22 @@ class ConflictGraph:
             masks[a] |= 1 << b
             masks[b] |= 1 << a
             normalized.add((min(a, b), max(a, b)))
-        self._n = n_wlans
-        self._masks = tuple(masks)
-        self._edges = tuple(sorted(normalized))
-
-    @property
-    def n_wlans(self) -> int:
-        return self._n
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """Edges as sorted (low, high) pairs, deduplicated."""
-        return self._edges
+        object.__setattr__(self, "edges", tuple(sorted(normalized)))
+        object.__setattr__(self, "masks", tuple(masks))
 
     def adjacent(self, a: int, b: int) -> bool:
-        return bool(self._masks[a] >> b & 1)
+        return bool(self.masks[a] >> b & 1)
 
     def neighbor_mask(self, i: int) -> int:
         """Bitmask of WLANs overlapping WLAN ``i`` (excluding ``i``)."""
-        return self._masks[i]
+        return self.masks[i]
 
     def closed_mask(self, i: int) -> int:
         """Bitmask of the sensing neighborhood of WLAN ``i`` (including ``i``)."""
-        return self._masks[i] | (1 << i)
+        return self.masks[i] | (1 << i)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in range(self._n) if self._masks[i] >> j & 1)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConflictGraph):
-            return NotImplemented
-        return self._n == other._n and self._edges == other._edges
-
-    def __hash__(self) -> int:
-        return hash((self._n, self._edges))
-
-    def __repr__(self) -> str:
-        return f"ConflictGraph(n_wlans={self._n}, edges={list(self._edges)})"
+        return tuple(j for j in range(self.n_wlans) if self.masks[i] >> j & 1)
 
 
 @dataclass(frozen=True)
@@ -246,8 +237,12 @@ def theta_of(wlan: Wlan, params: PhyMacParams) -> float:
 # Field names are exact; unknown keys are rejected.
 
 _TOP_KEYS = frozenset({"wlans", "edges", "params"})
-_PARAM_KEYS = frozenset({"t_e_s", "e_t_s", "e_tc_s", "cw_min", "m", "l_bits"})
 _WLAN_KEYS = frozenset({"id", "n_nodes"})
+
+#: The scenario-file format of ``params``: file key -> ``PhyMacParams`` field,
+#: in the order files are written.
+_PARAM_FIELDS = {"t_e_s": "t_e", "e_t_s": "e_t", "e_tc_s": "e_tc",
+                 "cw_min": "cw_min", "m": "m", "l_bits": "l_bits"}
 
 _BUNDLED = {
     "scenario1": "scenario1.json",
@@ -259,7 +254,7 @@ _BUNDLED = {
 }
 
 
-def _check_keys(doc: Mapping, allowed: frozenset, where: str) -> None:
+def _check_keys(doc: Mapping, allowed: AbstractSet[str], where: str) -> None:
     if not isinstance(doc, Mapping):
         raise InvalidParameterError(f"{where} must be a JSON object, got {type(doc).__name__}")
     unknown = set(doc) - allowed
@@ -273,16 +268,8 @@ def _check_keys(doc: Mapping, allowed: frozenset, where: str) -> None:
 def scenario_from_dict(doc: Mapping) -> Scenario:
     """Build a :class:`Scenario` from a scenario-file dictionary (strict)."""
     _check_keys(doc, _TOP_KEYS, "scenario")
-    _check_keys(doc["params"], _PARAM_KEYS, "params")
-    p = doc["params"]
-    params = PhyMacParams(
-        t_e=p["t_e_s"],
-        e_t=p["e_t_s"],
-        e_tc=p["e_tc_s"],
-        cw_min=p["cw_min"],
-        m=p["m"],
-        l_bits=p["l_bits"],
-    )
+    _check_keys(doc["params"], _PARAM_FIELDS.keys(), "params")
+    params = PhyMacParams(**{name: doc["params"][key] for key, name in _PARAM_FIELDS.items()})
     if not isinstance(doc["wlans"], list) or not doc["wlans"]:
         raise InvalidParameterError("wlans must be a non-empty array")
     wlans = []
@@ -297,18 +284,10 @@ def scenario_from_dict(doc: Mapping) -> Scenario:
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Inverse of :func:`scenario_from_dict`."""
-    p = scenario.params
     return {
         "wlans": [{"id": w.id, "n_nodes": w.n_nodes} for w in scenario.wlans],
         "edges": [list(e) for e in scenario.graph.edges],
-        "params": {
-            "t_e_s": p.t_e,
-            "e_t_s": p.e_t,
-            "e_tc_s": p.e_tc,
-            "cw_min": p.cw_min,
-            "m": p.m,
-            "l_bits": p.l_bits,
-        },
+        "params": {key: getattr(scenario.params, name) for key, name in _PARAM_FIELDS.items()},
     }
 
 

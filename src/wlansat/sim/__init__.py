@@ -38,6 +38,20 @@ def slot_durations(params: PhyMacParams) -> tuple[int, int]:
     return max(1, round(params.e_t / params.t_e)), max(1, round(params.e_tc / params.t_e))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def fan_out(fn, work: list, jobs: int) -> list:
+    """``[fn(item) for item in work]``, in that order, over up to ``jobs`` processes."""
+    if not _is_int(jobs) or jobs < 1:
+        raise InvalidParameterError(f"jobs must be an integer >= 1, got {jobs!r}")
+    if jobs == 1 or len(work) < 2:
+        return [fn(item) for item in work]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
+        return list(pool.map(fn, work))
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation request: scenario, horizon, seeding and replication."""
@@ -58,9 +72,9 @@ class SimConfig:
             raise InvalidParameterError(
                 f"duration must exceed warmup, got duration={self.duration} warmup={self.warmup}"
             )
-        if not isinstance(self.replications, int) or self.replications < 1:
+        if not _is_int(self.replications) or self.replications < 1:
             raise InvalidParameterError(f"replications must be an integer >= 1, got {self.replications}")
-        if not isinstance(self.seed, int):
+        if not _is_int(self.seed):
             raise InvalidParameterError(f"seed must be an integer, got {self.seed!r}")
         total = 0
         for w in self.scenario.wlans:  # checked before the kernel lists one entry per node
@@ -151,8 +165,6 @@ def simulate(
     so ``jobs > 1`` runs them in a process pool; results are merged by
     replication index either way, making the output independent of ``jobs``.
     """
-    if not isinstance(jobs, int) or jobs < 1:
-        raise InvalidParameterError(f"jobs must be an integer >= 1, got {jobs!r}")
     args = _kernel_args(config)
     warmup_slot, end_slot = args[-2], args[-1]
     measured_slots = end_slot - warmup_slot
@@ -162,11 +174,7 @@ def simulate(
     reps = config.replications
 
     work = [(args, seed, record_events) for seed in derive_seeds(config.seed, reps)]
-    if jobs > 1 and reps > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, reps)) as pool:
-            outcomes = list(pool.map(_run_one, work))
-    else:
-        outcomes = [_run_one(item) for item in work]
+    outcomes = fan_out(_run_one, work, jobs)
 
     state_total: dict[int, int] = {}
     probe_total: dict[tuple[int, int], list[int]] = {}
@@ -202,17 +210,11 @@ def simulate(
             f"{reps} replications or its standard error overflows, got l_bits={l_bits}"
         )
 
-    succ_total = dict.fromkeys(range(n_wlans), 0)
-    coll_total = dict.fromkeys(range(n_wlans), 0)
-    for (wlan, _pre_mask), (attempts, colls, _slots) in probe_total.items():
-        succ_total[wlan] += attempts - colls
-        coll_total[wlan] += colls
-
     return SimulationResult(
         throughput=mean,
         stderr=stderr,
-        successes=succ_total,
-        collisions=coll_total,
+        successes={w: sum(rep[0][w] for rep in outcomes) for w in range(n_wlans)},
+        collisions={w: sum(rep[1][w] for rep in outcomes) for w in range(n_wlans)},
         state_airtime={
             mask: slots / (measured_slots * reps) for mask, slots in sorted(state_total.items())
         },

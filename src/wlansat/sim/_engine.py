@@ -31,7 +31,7 @@ for the nodes that end or start.
 Node order is part of the result: nodes ending in the same slot redraw, and
 same-slot starters enter the event log, in increasing node index, as a
 slot-by-slot walk over the nodes would. Heap ties break on the node index, and
-the starters of several WLANs are sorted.
+one sort at the end of the run puts the event log in (start slot, node) order.
 
 RNG: SplitMix64 (Steele et al.), one named 64-bit stream per replication;
 draws map the next output onto [0, CW-1] by multiply-shift, so results are
@@ -56,7 +56,6 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment
 _BLOCK = 4096  # outputs drawn per numpy block
 _BLOCK_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)  # k * gamma mod 2^64
-_NEVER = float("inf")  # no pending end or target
 
 
 def mix64(state: int) -> tuple[int, int]:
@@ -126,7 +125,7 @@ def run_kernel(
     bitmask to the slots it was active within the window, ``probe`` maps
     ``(wlan, predecessor mask)`` to ``[attempts, collisions, successful airtime
     in slots]``, and ``events`` is ``None`` or a list of ``(start_slot, wlan,
-    node, success, duration)`` covering the whole run.
+    node, success, duration)`` covering the whole run in (start slot, node) order.
 
     Every ``neigh_masks[w]`` must contain bit ``w`` (a closed neighbourhood,
     as ``_kernel_args`` builds it): the start phase takes a WLAN with a node
@@ -143,7 +142,9 @@ def run_kernel(
     active_mask = 0  # WLANs with at least one node transmitting
     idle_wlans = _IdleWlans(neigh_masks)
     idle: list[list[tuple[int, int]]] = [[] for _ in range(n_wlans)]  # per WLAN: (target, node)
-    on_air: list[tuple[int, int]] = []  # (end slot, node)
+    # (end slot, node); the window's end sits in it as a sentinel that never
+    # pops, so the next event time never passes end_slot
+    on_air: list[tuple[int, int]] = [(end_slot, -1)]
 
     state_slots: dict[int, int] = {}
     probe: dict[tuple[int, int], list[int]] = {}
@@ -158,7 +159,7 @@ def run_kernel(
     while True:
         # earliest end, or earliest target on the clock of a WLAN sensing idle;
         # ``due`` keeps the WLANs whose earliest target lands on ``t_next``
-        t_next = on_air[0][0] if on_air else _NEVER
+        t_next = on_air[0][0]
         free = idle_wlans[active_mask]
         due = []
         for w in free:
@@ -171,15 +172,13 @@ def run_kernel(
                 elif cand == t_next:
                     due.append(w)
 
+        # account the constant-state segment [t, t_next) inside the window
         lo = t if t > warmup_slot else warmup_slot
-        if t_next >= end_slot:
-            if end_slot > lo:
-                state_slots[active_mask] = state_slots.get(active_mask, 0) + end_slot - lo
-            break
-
-        # account the constant-state segment [t, t_next) and advance clocks
         if t_next > lo:
             state_slots[active_mask] = state_slots.get(active_mask, 0) + t_next - lo
+        if t_next == end_slot:
+            break
+
         dt = t_next - t
         if dt:
             for w in free:
@@ -188,7 +187,7 @@ def run_kernel(
 
         # transmission ends first: they free the channel for slot t
         pre_mask = active_mask
-        while on_air and on_air[0][0] == t:
+        while on_air[0][0] == t:
             n = heappop(on_air)[1]
             w = node_wlan[n]
             num_tx[w] -= 1
@@ -220,7 +219,6 @@ def run_kernel(
             continue
 
         measured = warmup_slot <= t
-        first_event = len(events) if events is not None else 0
         for w, group in groups:
             ok = len(group) == 1 and not (any_mask & neigh_masks[w] & ~(1 << w))
             dur = d_succ if ok else d_coll
@@ -240,9 +238,9 @@ def run_kernel(
                     rec[1] += len(group)
             if events is not None:
                 events.extend((t, w, n, ok, dur) for n in group)
-        if events is not None and len(groups) > 1:  # same-slot starters are logged in node order
-            events[first_event:] = sorted(events[first_event:], key=itemgetter(2))
 
+    if events is not None:  # start slots rise strictly; same-slot starters go in node order
+        events.sort(key=itemgetter(0, 2))
     successes = [0] * n_wlans
     collisions = [0] * n_wlans
     for (w, _pre_mask), (attempts, colls, _slots) in probe.items():

@@ -107,6 +107,18 @@ def test_graph_rejects_self_edge_and_unknown_ids():
         w.ConflictGraph(3, [(0, 3)])
     with pytest.raises(InvalidParameterError):
         w.ConflictGraph(3, [(0, True)])
+    for n_wlans in (2.5, True, "3"):
+        with pytest.raises(InvalidParameterError, match="n_wlans"):
+            w.ConflictGraph(n_wlans, [])
+
+
+def test_graph_equality_ignores_edge_order_and_repeats():
+    g = w.ConflictGraph(3, [(0, 1), (1, 2)])
+    for same in (w.ConflictGraph(3, [(2, 1), (1, 0)]), w.ConflictGraph(3, [(0, 1), (1, 0), (2, 1)]),
+                 w.ConflictGraph(3, {(1, 2), (0, 1)})):
+        assert same == g and hash(same) == hash(g)
+        assert same.edges == ((0, 1), (1, 2))
+    assert w.ConflictGraph(4, [(0, 1), (1, 2)]) != g
 
 
 def test_scenario_requires_dense_ids():

@@ -116,6 +116,8 @@ def test_event_kernel_matches_stepwise_oracle(case, seed):
     args = ORACLE_CASES[case]
     expected = stepwise_kernel(*args, 100, 5000, seed, True)
     assert _engine.run_kernel(*args, 100, 5000, seed, True) == expected
+    # simulate's default path logs no events; the oracle's other outputs do not depend on the log
+    assert _engine.run_kernel(*args, 100, 5000, seed, False) == (*expected[:4], None)
 
 
 @pytest.mark.parametrize("seed", [1, 99, 2**64 - 1])
@@ -126,6 +128,7 @@ def test_event_kernel_matches_stepwise_oracle_across_draw_blocks(seed):
     expected = stepwise_kernel(*args, 10, 20_000, seed, True)
     assert len(expected[4]) > 2 * 4096  # at least one draw per transmission
     assert _engine.run_kernel(*args, 10, 20_000, seed, True) == expected
+    assert _engine.run_kernel(*args, 10, 20_000, seed, False) == (*expected[:4], None)
 
 
 def test_simulate_looks_up_the_kernel_at_each_replication(monkeypatch):
@@ -300,9 +303,14 @@ def test_config_validation():
         w.SimConfig(single(), duration=1.0, warmup=2.0)
     with pytest.raises(InvalidParameterError):
         w.SimConfig(single(), replications=0)
-    for field, value in (("duration", float("inf")), ("warmup", float("inf")), ("warmup", float("nan"))):
+    for field, value in (("duration", float("inf")), ("warmup", float("inf")), ("warmup", float("nan")),
+                         ("seed", True), ("seed", 1.0), ("replications", True), ("replications", 2.5)):
         with pytest.raises(InvalidParameterError, match=field):
             w.SimConfig(single(), **{field: value})
+    config = w.SimConfig(single(), duration=0.2, warmup=0.1, replications=1)
+    for jobs in (True, 0, 1.5):
+        with pytest.raises(InvalidParameterError, match="jobs"):
+            w.simulate(config, jobs=jobs)
 
 
 def test_config_caps_total_nodes_before_building_them():

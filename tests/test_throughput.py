@@ -225,6 +225,13 @@ def test_report_json_mirror_roundtrips():
     assert len(doc["gamma_records"]) == len(report.records)
 
 
+def test_reports_compare_by_value():
+    # pi is a numpy array, so its elementwise == must not leak into report equality
+    scenario = w.bundled_scenario("iii")
+    assert w.analyze(scenario) == w.analyze(scenario)
+    assert (w.analyze(scenario) == w.analyze(w.with_cw_min(scenario, 64))) is False
+
+
 def test_analyze_rejects_unknown_mode():
     with pytest.raises(ContractViolationError):
         w.analyze(path3(), "fastest")
